@@ -13,7 +13,8 @@
 #   scripts/ci.sh --system-gtest      # suite against installed GoogleTest
 #   scripts/ci.sh --system-benchmark  # micro bench against installed
 #                                     # google-benchmark
-#   scripts/ci.sh --no-bench          # skip the bench smoke stage
+#   scripts/ci.sh --no-bench          # skip the bench smoke stage and
+#                                     # the e2ebench self-checks
 #   scripts/ci.sh --no-tsan           # skip the ThreadSanitizer stage
 #   scripts/ci.sh --tsan-only         # ONLY the ThreadSanitizer stage
 #   scripts/ci.sh --no-asan           # skip the ASan/UBSan stage
@@ -158,4 +159,10 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # local act (scripts/bench.sh) whose diff rides the PR that changed perf.
   BUILD_DIR="$BUILD_DIR" scripts/bench.sh --quick --no-experiments-md \
       --diff bench/BENCH_baseline.json "${BENCH_ARGS[@]}"
+  # End-to-end benchmark self-checks (e2ebench/): builds the benchmark
+  # binary against the current tree and runs every workload briefly,
+  # verifying every byte read back. A client API change that breaks the
+  # benchmark's build or correctness check fails here, not only in the
+  # benchmark pipeline.
+  python3 e2ebench/test_bench.py
 fi

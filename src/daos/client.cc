@@ -1,5 +1,6 @@
 #include "daos/client.h"
 
+#include <memory_resource>
 #include <set>
 
 #include "daos/placement.h"
@@ -125,9 +126,17 @@ std::uint32_t DaosClient::PrimaryEngine(const ObjectId& oid,
   return PlaceEngine(oid, dkey, std::uint32_t(engines_.size()));
 }
 
-Result<std::uint32_t> DaosClient::ReadableEngine(
-    const ObjectId& oid, const std::string& dkey) const {
+Result<std::uint32_t> DaosClient::ReadEngine(const ObjectId& oid,
+                                             const std::string& dkey,
+                                             Epoch epoch) const {
   const std::uint32_t primary = PrimaryEngine(oid, dkey);
+  if (epoch != kEpochHead) {
+    if (map_->readable(primary)) return primary;
+    return Status(Unavailable(
+        "engine " + std::to_string(primary) + " is " +
+        EngineStateName(map_->state(primary)) + " (pool map v" +
+        std::to_string(map_->version()) + ")"));
+  }
   for (std::uint32_t r = 0; r < replicas_; ++r) {
     const std::uint32_t e = ReplicaEngine(primary, r);
     if (map_->readable(e)) return e;
@@ -135,18 +144,6 @@ Result<std::uint32_t> DaosClient::ReadableEngine(
   return Status(
       Unavailable("no UP replica of this dkey (pool map v" +
                   std::to_string(map_->version()) + ")"));
-}
-
-Status DaosClient::RequireUp(std::uint32_t engine) const {
-  if (map_->readable(engine)) return Status::Ok();
-  return Unavailable("engine " + std::to_string(engine) + " is " +
-                     EngineStateName(map_->state(engine)) +
-                     " (pool map v" + std::to_string(map_->version()) + ")");
-}
-
-void DaosClient::JournalMiss(std::uint32_t engine, ContainerId cont,
-                             const ObjectId& oid, const std::string& dkey) {
-  map_->journal().Record(engine, ResyncEntry{cont, oid, dkey});
 }
 
 Result<rpc::RpcReply> DaosClient::Call(std::uint32_t engine,
@@ -174,93 +171,6 @@ Result<telemetry::TelemetrySnapshot> DaosClient::TelemetryQuery(
   return telemetry::TelemetrySnapshot::DecodeFrom(dec);
 }
 
-Result<rpc::RpcClient::CallId> DaosClient::CallAsyncEngine(
-    std::uint32_t engine, std::uint32_t opcode, const rpc::Encoder& header,
-    const rpc::CallOptions& options) {
-  if (map_->state(engine) == EngineState::kDown) {
-    return Status(Unavailable("engine " + std::to_string(engine) +
-                              " is down"));
-  }
-  return engines_[engine].rpc->CallAsync(opcode, header, options);
-}
-
-Result<rpc::RpcReply> DaosClient::CallReplicas(
-    ContainerId cont, const ObjectId& oid, const std::string& dkey,
-    std::uint32_t opcode, const rpc::Encoder& header,
-    const rpc::CallOptions& options) {
-  const std::uint32_t primary = PrimaryEngine(oid, dkey);
-  // Degraded write-all: issue every copy concurrently to the writable
-  // replicas, then await. There is deliberately NO up-front all-replicas
-  // check (the old CheckReplicasUp raced concurrent down-transitions) —
-  // the per-send outcome is authoritative: a DOWN replica, a send that
-  // fails UNAVAILABLE, or an UNAVAILABLE reply all degrade into resync-
-  // journal entries instead of failing the op.
-  struct Issued {
-    std::uint32_t engine;
-    rpc::RpcClient::CallId id;
-    bool rebuilding;  // post-completion journal mark (see pool_map.h)
-  };
-  std::vector<Issued> issued;
-  issued.reserve(replicas_);
-  for (std::uint32_t r = 0; r < replicas_; ++r) {
-    const std::uint32_t e = ReplicaEngine(primary, r);
-    const EngineState st = map_->state(e);
-    if (st == EngineState::kDown) {
-      JournalMiss(e, cont, oid, dkey);
-      continue;
-    }
-    auto id = engines_[e].rpc->CallAsync(opcode, header, options);
-    if (id.ok()) {
-      issued.push_back({e, *id, st == EngineState::kRebuilding});
-      continue;
-    }
-    if (id.status().code() == ErrorCode::kUnavailable) {
-      JournalMiss(e, cont, oid, dkey);  // raced the down-transition
-      continue;
-    }
-    // A hard issue error (window stall, encode overflow) is not a health
-    // event: drain what already went out, then surface it.
-    Status hard = id.status();
-    for (const Issued& is : issued) {
-      (void)engines_[is.engine].rpc->Await(is.id);
-    }
-    return hard;
-  }
-  std::uint32_t landed = 0;
-  Status hard = Status::Ok();
-  Result<rpc::RpcReply> first = Status(Internal("no replica copy landed"));
-  for (const Issued& is : issued) {
-    // Await every issued copy even past a failure: later replicas must
-    // not be left dangling in the pipeline.
-    auto reply = engines_[is.engine].rpc->Await(is.id);
-    if (reply.ok()) {
-      ++landed;
-      if (landed == 1) first = std::move(reply);
-      // A copy that landed on a REBUILDING engine may still be overwritten
-      // by an in-flight rebuild pass importing older survivor state at a
-      // higher epoch: journal it so the rebuild's journal-drain loop
-      // re-silvers survivor HEAD (which includes this completed write).
-      if (is.rebuilding) JournalMiss(is.engine, cont, oid, dkey);
-    } else if (reply.status().code() == ErrorCode::kUnavailable) {
-      JournalMiss(is.engine, cont, oid, dkey);
-    } else if (hard.ok()) {
-      hard = reply.status();
-    }
-  }
-  const std::string copies =
-      std::to_string(landed) + "/" + std::to_string(replicas_);
-  if (!hard.ok()) {
-    return Status(hard.code(), hard.message() + " (replica copy failed; " +
-                                   copies + " replica copies landed)");
-  }
-  if (landed == 0) {
-    return Status(Unavailable("no writable replica: " + copies +
-                              " replica copies landed (pool map v" +
-                              std::to_string(map_->version()) + ")"));
-  }
-  return first;
-}
-
 Result<rpc::RpcReply> DaosClient::CallAll(std::uint32_t opcode,
                                           const rpc::Encoder& header) {
   Result<rpc::RpcReply> first = Status(Internal("no engines"));
@@ -274,6 +184,142 @@ Result<rpc::RpcReply> DaosClient::CallAll(std::uint32_t opcode,
     }
   }
   return first;
+}
+
+// ----------------------------------------------------------- submission
+
+DaosClient::ObjCall::ObjCall(DaosOpcode opcode, Route route, ContainerId cont,
+                             const ObjectId& oid, const std::string& dkey,
+                             const std::string& akey, Epoch epoch)
+    : opcode(opcode),
+      route(route),
+      cont(cont),
+      oid(&oid),
+      dkey(&dkey),
+      epoch(epoch) {
+  EncodeObjAddr(header, cont, oid, dkey, akey);
+}
+
+Status DaosClient::Submit(std::span<const ObjCall> calls,
+                          std::span<Result<rpc::RpcReply>> replies) {
+  struct Issued {
+    std::size_t call = 0;
+    std::uint32_t engine = 0;
+    rpc::RpcClient::CallId id = 0;
+    bool rebuilding = false;  // landed copies are journaled too
+  };
+  // The copies of a small batch (every single op) are tracked on the stack.
+  alignas(Issued) std::byte arena[8 * sizeof(Issued)];
+  std::pmr::monotonic_buffer_resource pool(arena, sizeof(arena));
+  std::pmr::vector<Issued> issued(&pool);
+  std::size_t slots = 0;
+  for (const ObjCall& call : calls) {
+    slots += call.route == Route::kRead ? 1 : replicas_;
+  }
+  issued.reserve(slots);
+  auto journal = [this](std::uint32_t engine, const ObjCall& call) {
+    map_->journal().Record(engine,
+                           ResyncEntry{call.cont, *call.oid, *call.dkey});
+  };
+
+  // Issue phase. The RPC layer's in-flight window applies backpressure by
+  // pumping progress, so arbitrarily large batches stream through bounded
+  // client state.
+  Status hard = Status::Ok();
+  std::size_t stopped = calls.size();
+  for (std::size_t i = 0; i < calls.size() && hard.ok(); ++i) {
+    const ObjCall& call = calls[i];
+    const auto opcode = std::uint32_t(call.opcode);
+    if (call.route == Route::kRead) {
+      auto engine = ReadEngine(*call.oid, *call.dkey, call.epoch);
+      if (!engine.ok()) {
+        hard = engine.status();
+      } else if (auto id = engines_[*engine].rpc->CallAsync(
+                     opcode, call.header, call.options);
+                 id.ok()) {
+        issued.push_back({i, *engine, *id, false});
+      } else {
+        hard = id.status();
+      }
+    } else {
+      // Degraded write-all. There is deliberately NO up-front
+      // all-replicas check (one raced concurrent down-transitions): the
+      // per-send outcome is authoritative. A DOWN replica, a send that
+      // fails UNAVAILABLE, or an UNAVAILABLE reply all become resync-
+      // journal entries instead of failing the op.
+      const std::uint32_t primary = PrimaryEngine(*call.oid, *call.dkey);
+      for (std::uint32_t r = 0; r < replicas_ && hard.ok(); ++r) {
+        const std::uint32_t e = ReplicaEngine(primary, r);
+        const EngineState st = map_->state(e);
+        if (st == EngineState::kDown) {
+          journal(e, call);
+          continue;
+        }
+        auto id = engines_[e].rpc->CallAsync(opcode, call.header,
+                                             call.options);
+        if (id.ok()) {
+          issued.push_back({i, e, *id, st == EngineState::kRebuilding});
+        } else if (id.status().code() == ErrorCode::kUnavailable) {
+          journal(e, call);  // raced the down-transition
+        } else {
+          hard = id.status();  // not a health event
+        }
+      }
+    }
+    if (!hard.ok()) stopped = i;
+  }
+
+  // Await phase: drain everything that went out, even past a failure; a
+  // stranded call would keep its bulk windows leased.
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const ObjCall& call = calls[i];
+    std::uint32_t landed = 0;
+    Status failed = Status::Ok();
+    for (; next < issued.size() && issued[next].call == i; ++next) {
+      const Issued& copy = issued[next];
+      auto reply = engines_[copy.engine].rpc->Await(copy.id);
+      if (call.route == Route::kRead) {
+        replies[i] = std::move(reply);
+      } else if (reply.ok()) {
+        // A copy that landed on a REBUILDING engine may still be
+        // overwritten by an in-flight rebuild pass importing older
+        // survivor state at a higher epoch: journal it so the rebuild's
+        // journal-drain loop re-silvers survivor HEAD (which includes
+        // this completed write).
+        if (copy.rebuilding) journal(copy.engine, call);
+        if (++landed == 1) replies[i] = std::move(reply);
+      } else if (reply.status().code() == ErrorCode::kUnavailable) {
+        journal(copy.engine, call);
+      } else if (failed.ok()) {
+        failed = reply.status();
+      }
+    }
+    if (i >= stopped) {
+      replies[i] = hard;
+      continue;
+    }
+    if (call.route == Route::kRead || (failed.ok() && landed > 0)) continue;
+    const std::string copies = std::to_string(landed) + "/" +
+                               std::to_string(replicas_) +
+                               " replica copies landed";
+    if (!failed.ok()) {
+      replies[i] = Status(failed.code(), failed.message() +
+                                             " (replica copy failed; " +
+                                             copies + ")");
+    } else {
+      replies[i] = Status(Unavailable(
+          "no writable replica: " + copies + " (pool map v" +
+          std::to_string(map_->version()) + ")"));
+    }
+  }
+  return hard;
+}
+
+Result<rpc::RpcReply> DaosClient::SubmitOne(const ObjCall& call) {
+  Result<rpc::RpcReply> reply = Status(Internal("not submitted"));
+  ROS2_RETURN_IF_ERROR(Submit({&call, 1}, {&reply, 1}));
+  return reply;
 }
 
 // ------------------------------------------------------------ containers
@@ -320,232 +366,85 @@ Result<Epoch> DaosClient::Update(ContainerId cont, const ObjectId& oid,
                                  const std::string& akey,
                                  std::uint64_t offset,
                                  std::span<const std::byte> data) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(offset);
-  rpc::CallOptions options;
-  options.send_bulk = data;
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kObjUpdate),
-                   enc, options));
-  rpc::Decoder dec(reply.header);
-  return dec.U64();
+  const UpdateOp op{cont, oid, dkey, akey, offset, data};
+  ROS2_ASSIGN_OR_RETURN(std::vector<Epoch> epochs, UpdateBatch({&op, 1}));
+  return epochs[0];
 }
 
 Status DaosClient::Fetch(ContainerId cont, const ObjectId& oid,
                          const std::string& dkey, const std::string& akey,
                          std::uint64_t offset, std::span<std::byte> out,
                          Epoch epoch) {
-  // Snapshot reads pin to the primary (epochs are per-engine); HEAD reads
-  // fail over across replicas.
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(offset).U64(out.size()).U64(epoch);
-  rpc::CallOptions options;
-  options.recv_bulk = out;
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kObjFetch), enc,
-           options));
-  if (reply.bulk_received != out.size()) {
-    return DataLoss("short DAOS fetch");
-  }
-  return Status::Ok();
+  const FetchOp op{cont, oid, dkey, akey, offset, out, epoch};
+  return FetchBatch({&op, 1});
 }
 
 // -------------------------------------------------------------- batches
 
 Result<std::vector<Epoch>> DaosClient::UpdateBatch(
     std::span<const UpdateOp> ops) {
-  // Issue phase: every op, every writable replica — nothing awaited yet.
-  // The RPC layer's in-flight window applies backpressure by pumping
-  // progress, so arbitrarily large batches stream through bounded client
-  // state. Same degraded semantics as CallReplicas, per op: DOWN (or
-  // racing-down) replicas journal instead of failing the batch.
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool rebuilding = false;
-  };
-  std::vector<std::vector<Issued>> copies(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const UpdateOp& op = ops[i];
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.offset);
-    rpc::CallOptions options;
-    options.send_bulk = op.data;
-    const std::uint32_t primary = PrimaryEngine(op.oid, op.dkey);
-    copies[i].reserve(replicas_);
-    for (std::uint32_t r = 0; r < replicas_; ++r) {
-      const std::uint32_t e = ReplicaEngine(primary, r);
-      const EngineState st = map_->state(e);
-      if (st == EngineState::kDown) {
-        JournalMiss(e, op.cont, op.oid, op.dkey);
-        continue;
-      }
-      auto id = engines_[e].rpc->CallAsync(
-          std::uint32_t(DaosOpcode::kObjUpdate), enc, options);
-      if (id.ok()) {
-        copies[i].push_back({e, *id, st == EngineState::kRebuilding});
-      } else if (id.status().code() == ErrorCode::kUnavailable) {
-        JournalMiss(e, op.cont, op.oid, op.dkey);
-      } else {
-        failure = id.status();  // hard issue error: stop issuing, drain
-        break;
-      }
-    }
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const UpdateOp& op : ops) {
+    ObjCall& call = calls.emplace_back(DaosOpcode::kObjUpdate,
+                                       Route::kWriteAll, op.cont, op.oid,
+                                       op.dkey, op.akey);
+    call.header.U64(op.offset);
+    call.options.send_bulk = op.data;
   }
-  // Await phase: drain everything that was issued, even past a failure —
-  // a batch error must not strand calls in the pipeline.
-  std::vector<Epoch> epochs(ops.size(), 0);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    std::uint32_t landed = 0;
-    for (const Issued& copy : copies[i]) {
-      auto reply = engines_[copy.engine].rpc->Await(copy.id);
-      if (reply.ok()) {
-        ++landed;
-        if (copy.rebuilding) {
-          JournalMiss(copy.engine, ops[i].cont, ops[i].oid, ops[i].dkey);
-        }
-        if (landed > 1) continue;
-        rpc::Decoder dec(reply->header);
-        auto epoch = dec.U64();
-        if (epoch.ok()) {
-          epochs[i] = *epoch;
-        } else if (failure.ok()) {
-          failure = epoch.status();
-        }
-      } else if (reply.status().code() == ErrorCode::kUnavailable) {
-        JournalMiss(copy.engine, ops[i].cont, ops[i].oid, ops[i].dkey);
-      } else if (failure.ok()) {
-        failure = reply.status();
-      }
-    }
-    if (landed == 0 && failure.ok()) {
-      failure = Unavailable(
-          "no writable replica for batch op " + std::to_string(i) + ": 0/" +
-          std::to_string(replicas_) + " replica copies landed (pool map v" +
-          std::to_string(map_->version()) + ")");
-    }
+  std::vector<Result<rpc::RpcReply>> replies(
+      ops.size(), Status(Internal("not submitted")));
+  ROS2_RETURN_IF_ERROR(Submit(calls, replies));
+  std::vector<Epoch> epochs;
+  epochs.reserve(ops.size());
+  for (const Result<rpc::RpcReply>& reply : replies) {
+    ROS2_RETURN_IF_ERROR(reply.status());
+    rpc::Decoder dec(reply->header);
+    ROS2_ASSIGN_OR_RETURN(Epoch epoch, dec.U64());
+    epochs.push_back(epoch);
   }
-  if (!failure.ok()) return failure;
   return epochs;
 }
 
 Status DaosClient::FetchBatch(std::span<const FetchOp> ops) {
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool issued = false;
-  };
-  std::vector<Issued> issued(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const FetchOp& op = ops[i];
-    // Same engine selection as Fetch: snapshot reads pin to the primary
-    // (epochs are per-engine), HEAD reads fail over across replicas.
-    std::uint32_t engine = 0;
-    if (op.epoch != kEpochHead) {
-      engine = PrimaryEngine(op.oid, op.dkey);
-      Status up = RequireUp(engine);
-      if (!up.ok()) {
-        failure = std::move(up);
-        break;
-      }
-    } else {
-      auto readable = ReadableEngine(op.oid, op.dkey);
-      if (!readable.ok()) {
-        failure = readable.status();
-        break;
-      }
-      engine = *readable;
-    }
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.offset).U64(op.out.size()).U64(op.epoch);
-    rpc::CallOptions options;
-    options.recv_bulk = op.out;
-    auto id = CallAsyncEngine(engine, std::uint32_t(DaosOpcode::kObjFetch),
-                              enc, options);
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    issued[i] = {engine, *id, true};
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const FetchOp& op : ops) {
+    ObjCall& call =
+        calls.emplace_back(DaosOpcode::kObjFetch, Route::kRead, op.cont,
+                           op.oid, op.dkey, op.akey, op.epoch);
+    call.header.U64(op.offset).U64(op.out.size()).U64(op.epoch);
+    call.options.recv_bulk = op.out;
   }
+  std::vector<Result<rpc::RpcReply>> replies(
+      ops.size(), Status(Internal("not submitted")));
+  ROS2_RETURN_IF_ERROR(Submit(calls, replies));
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (!issued[i].issued) continue;
-    auto reply = engines_[issued[i].engine].rpc->Await(issued[i].id);
-    if (!reply.ok()) {
-      if (failure.ok()) failure = reply.status();
-      continue;
-    }
-    if (reply->bulk_received != ops[i].out.size() && failure.ok()) {
-      failure = DataLoss("short DAOS fetch");
+    ROS2_RETURN_IF_ERROR(replies[i].status());
+    if (replies[i]->bulk_received != ops[i].out.size()) {
+      return DataLoss("short DAOS fetch");
     }
   }
-  return failure;
+  return Status::Ok();
 }
 
 Result<std::vector<Result<Buffer>>> DaosClient::FetchSingleBatch(
     std::span<const SingleFetchOp> ops) {
-  struct Issued {
-    std::uint32_t engine = 0;
-    rpc::RpcClient::CallId id = 0;
-    bool issued = false;
-  };
-  std::vector<Issued> issued(ops.size());
-  Status failure = Status::Ok();
-  for (std::size_t i = 0; i < ops.size() && failure.ok(); ++i) {
-    const SingleFetchOp& op = ops[i];
-    std::uint32_t engine = 0;
-    if (op.epoch != kEpochHead) {
-      engine = PrimaryEngine(op.oid, op.dkey);
-      Status up = RequireUp(engine);
-      if (!up.ok()) {
-        failure = std::move(up);
-        break;
-      }
-    } else {
-      auto readable = ReadableEngine(op.oid, op.dkey);
-      if (!readable.ok()) {
-        failure = readable.status();
-        break;
-      }
-      engine = *readable;
-    }
-    rpc::Encoder enc;
-    EncodeObjAddr(enc, op.cont, op.oid, op.dkey, op.akey);
-    enc.U64(op.epoch);
-    auto id = CallAsyncEngine(engine, std::uint32_t(DaosOpcode::kSingleFetch),
-                              enc);
-    if (!id.ok()) {
-      failure = id.status();
-      break;
-    }
-    issued[i] = {engine, *id, true};
+  std::vector<ObjCall> calls;
+  calls.reserve(ops.size());
+  for (const SingleFetchOp& op : ops) {
+    calls.emplace_back(DaosOpcode::kSingleFetch, Route::kRead, op.cont,
+                       op.oid, op.dkey, op.akey, op.epoch)
+        .header.U64(op.epoch);
   }
-  // Per-op outcomes: a missing record is data, not a batch failure —
-  // readdir skips punched entries by looking at each op's status. The
-  // whole batch still drains past an issue error so no call is stranded.
+  std::vector<Result<rpc::RpcReply>> replies(
+      ops.size(), Status(Internal("not submitted")));
+  ROS2_RETURN_IF_ERROR(Submit(calls, replies));
+  // Per-op outcomes: a missing record is data, not a batch failure;
+  // readdir skips punched entries by looking at each op's status.
   std::vector<Result<Buffer>> out;
   out.reserve(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (!issued[i].issued) {
-      out.push_back(Status(Unavailable("single fetch was never issued")));
-      continue;
-    }
-    auto reply = engines_[issued[i].engine].rpc->Await(issued[i].id);
+  for (const Result<rpc::RpcReply>& reply : replies) {
     if (!reply.ok()) {
       out.push_back(reply.status());
       continue;
@@ -553,7 +452,6 @@ Result<std::vector<Result<Buffer>>> DaosClient::FetchSingleBatch(
     rpc::Decoder dec(reply->header);
     out.push_back(dec.Bytes());
   }
-  if (!failure.ok()) return failure;
   return out;
 }
 
@@ -563,13 +461,10 @@ Result<Epoch> DaosClient::UpdateSingle(ContainerId cont, const ObjectId& oid,
                                        const std::string& dkey,
                                        const std::string& akey,
                                        std::span<const std::byte> value) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.Bytes(value);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kSingleUpdate),
-                   enc));
+  ObjCall call(DaosOpcode::kSingleUpdate, Route::kWriteAll, cont, oid, dkey,
+               akey);
+  call.header.Bytes(value);
+  ROS2_ASSIGN_OR_RETURN(rpc::RpcReply reply, SubmitOne(call));
   rpc::Decoder dec(reply.header);
   return dec.U64();
 }
@@ -577,21 +472,9 @@ Result<Epoch> DaosClient::UpdateSingle(ContainerId cont, const ObjectId& oid,
 Result<Buffer> DaosClient::FetchSingle(ContainerId cont, const ObjectId& oid,
                                        const std::string& dkey,
                                        const std::string& akey, Epoch epoch) {
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(epoch);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kSingleFetch), enc));
-  rpc::Decoder dec(reply.header);
-  return dec.Bytes();
+  const SingleFetchOp op{cont, oid, dkey, akey, epoch};
+  ROS2_ASSIGN_OR_RETURN(auto values, FetchSingleBatch({&op, 1}));
+  return std::move(values[0]);
 }
 
 // ---------------------------------------------------------------- punch
@@ -599,28 +482,29 @@ Result<Buffer> DaosClient::FetchSingle(ContainerId cont, const ObjectId& oid,
 Status DaosClient::Punch(ContainerId cont, const ObjectId& oid,
                          const std::string& dkey, const std::string& akey,
                          PunchScope scope) {
+  if (scope != PunchScope::kObject) {
+    ObjCall call(DaosOpcode::kObjPunch, Route::kWriteAll, cont, oid, dkey,
+                 akey);
+    call.header.U8(std::uint8_t(scope));
+    return SubmitOne(call).status();
+  }
   rpc::Encoder enc;
   EncodeObjAddr(enc, cont, oid, dkey, akey);
   enc.U8(std::uint8_t(scope));
-  if (scope == PunchScope::kObject) {
-    // The object's dkeys (and replicas) may live on every engine.
-    bool any = false;
-    for (std::uint32_t e = 0; e < engines_.size(); ++e) {
-      auto reply = Call(e, std::uint32_t(DaosOpcode::kObjPunch),
-                        enc);
-      if (reply.ok()) {
-        any = true;
-      } else if (reply.status().code() == ErrorCode::kUnavailable) {
-        return reply.status();  // down engine: fail loudly, not silently
-      } else if (reply.status().code() != ErrorCode::kNotFound) {
-        return reply.status();
-      }
+  // The object's dkeys (and replicas) may live on every engine.
+  bool any = false;
+  for (std::uint32_t e = 0; e < engines_.size(); ++e) {
+    auto reply = Call(e, std::uint32_t(DaosOpcode::kObjPunch),
+                      enc);
+    if (reply.ok()) {
+      any = true;
+    } else if (reply.status().code() == ErrorCode::kUnavailable) {
+      return reply.status();  // down engine: fail loudly, not silently
+    } else if (reply.status().code() != ErrorCode::kNotFound) {
+      return reply.status();
     }
-    return any ? Status::Ok() : NotFound("no such object");
   }
-  return CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kObjPunch),
-                      enc)
-      .status();
+  return any ? Status::Ok() : NotFound("no such object");
 }
 
 Status DaosClient::PunchObject(ContainerId cont, const ObjectId& oid) {
@@ -686,12 +570,9 @@ Result<DaosClient::DkeyPage> DaosClient::ListDkeysPage(ContainerId cont,
 
 Result<std::vector<std::string>> DaosClient::ListAkeys(
     ContainerId cont, const ObjectId& oid, const std::string& dkey) {
-  ROS2_ASSIGN_OR_RETURN(std::uint32_t engine, ReadableEngine(oid, dkey));
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, "");
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kListAkeys), enc));
+  const ObjCall call(DaosOpcode::kListAkeys, Route::kRead, cont, oid, dkey,
+                     "");
+  ROS2_ASSIGN_OR_RETURN(rpc::RpcReply reply, SubmitOne(call));
   return DecodeStringList(reply.header);
 }
 
@@ -700,19 +581,10 @@ Result<std::uint64_t> DaosClient::ArraySize(ContainerId cont,
                                             const std::string& dkey,
                                             const std::string& akey,
                                             Epoch epoch) {
-  std::uint32_t engine = 0;
-  if (epoch != kEpochHead) {
-    engine = PrimaryEngine(oid, dkey);
-    ROS2_RETURN_IF_ERROR(RequireUp(engine));
-  } else {
-    ROS2_ASSIGN_OR_RETURN(engine, ReadableEngine(oid, dkey));
-  }
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(epoch);
-  ROS2_ASSIGN_OR_RETURN(
-      rpc::RpcReply reply,
-      Call(engine, std::uint32_t(DaosOpcode::kArraySize), enc));
+  ObjCall call(DaosOpcode::kArraySize, Route::kRead, cont, oid, dkey, akey,
+               epoch);
+  call.header.U64(epoch);
+  ROS2_ASSIGN_OR_RETURN(rpc::RpcReply reply, SubmitOne(call));
   rpc::Decoder dec(reply.header);
   return dec.U64();
 }
@@ -720,12 +592,10 @@ Result<std::uint64_t> DaosClient::ArraySize(ContainerId cont,
 Status DaosClient::Aggregate(ContainerId cont, const ObjectId& oid,
                              const std::string& dkey, const std::string& akey,
                              Epoch upto) {
-  rpc::Encoder enc;
-  EncodeObjAddr(enc, cont, oid, dkey, akey);
-  enc.U64(upto);
-  return CallReplicas(cont, oid, dkey, std::uint32_t(DaosOpcode::kAggregate),
-                      enc)
-      .status();
+  ObjCall call(DaosOpcode::kAggregate, Route::kWriteAll, cont, oid, dkey,
+               akey);
+  call.header.U64(upto);
+  return SubmitOne(call).status();
 }
 
 }  // namespace ros2::daos

@@ -21,12 +21,17 @@
 // copies landed). Epoch stamps are per-engine, so snapshot reads pin to
 // the engine that issued the epoch (documented simplification).
 //
-// Pipelining: replica updates are issued CONCURRENTLY to every replica
-// engine (CallAsync fan-out, then await) instead of serially, and the
-// batch APIs (UpdateBatch/FetchBatch) keep many data-plane RPCs in
-// flight at once — one engine progress tick then services the whole
-// window, which is where the paper's "heavy traffic" throughput comes
-// from (bench_micro_pipeline gates the win).
+// One submission path: every (oid, dkey)-routed object op (array and
+// single-value update/fetch, dkey/akey punch, aggregate, akey listing,
+// array size) is a batch handed to the private Submit(), and a single op
+// is a batch of one. Submit issues every call, and every replica copy of
+// a write, before awaiting any reply, so one engine progress tick services
+// the whole window; that is where the paper's "heavy traffic" throughput
+// comes from (bench_micro_pipeline gates the win). The write-all route
+// (degraded fan-out plus resync journal) and the read route (ReadEngine)
+// therefore each exist once. Engine-addressed calls (pool connect, oid
+// allocation, container broadcasts, dkey listing, object punch, telemetry)
+// go straight to one engine through Call().
 #pragma once
 
 #include <cstdint>
@@ -223,7 +228,46 @@ class DaosClient {
     std::unique_ptr<rpc::RpcClient> rpc;
   };
 
+  /// How Submit places one object call on the replica ring.
+  enum class Route : std::uint8_t {
+    /// Every replica copy of (oid, dkey), with the degraded semantics in
+    /// the header comment; the first landed copy's reply is the call's.
+    kWriteAll,
+    /// One replica, picked by ReadEngine.
+    kRead,
+  };
+
+  /// One (oid, dkey)-routed object RPC. The constructor encodes the object
+  /// address into `header`; each op appends its own fields. `oid` and
+  /// `dkey` must outlive the Submit that carries the call.
+  struct ObjCall {
+    ObjCall(DaosOpcode opcode, Route route, ContainerId cont,
+            const ObjectId& oid, const std::string& dkey,
+            const std::string& akey, Epoch epoch = kEpochHead);
+    DaosOpcode opcode;
+    Route route;
+    ContainerId cont;
+    const ObjectId* oid;
+    const std::string* dkey;
+    Epoch epoch;  ///< kRead: a snapshot (non-HEAD) read pins to the primary
+    rpc::Encoder header;
+    rpc::CallOptions options;
+  };
+
   DaosClient() = default;
+
+  /// The one submission primitive for object calls. Issues every call
+  /// (every writable replica copy of a kWriteAll call) before awaiting any
+  /// reply, then awaits them all; replies[i] receives calls[i]'s outcome.
+  /// A hard issue error (read engine selection, window stall, encode
+  /// overflow) stops issuing: everything already sent is drained, the
+  /// calls from the failed one on get the error as their reply, and it is
+  /// returned.
+  Status Submit(std::span<const ObjCall> calls,
+                std::span<Result<rpc::RpcReply>> replies);
+  /// Submit of a batch of one.
+  Result<rpc::RpcReply> SubmitOne(const ObjCall& call);
+
   Status Punch(ContainerId cont, const ObjectId& oid, const std::string& dkey,
                const std::string& akey, PunchScope scope);
 
@@ -236,37 +280,17 @@ class DaosClient {
   std::uint32_t ReplicaEngine(std::uint32_t primary, std::uint32_t r) const {
     return (primary + r) % std::uint32_t(engines_.size());
   }
-  /// First UP replica for reads; error when none is.
-  Result<std::uint32_t> ReadableEngine(const ObjectId& oid,
-                                       const std::string& dkey) const;
-  /// UNAVAILABLE unless `engine` is UP (snapshot reads pin to the
-  /// stamping engine and cannot fail over).
-  Status RequireUp(std::uint32_t engine) const;
-  /// Records a missed replica copy of (cont, oid, dkey) owed to `engine`
-  /// in the pool map's resync journal.
-  void JournalMiss(std::uint32_t engine, ContainerId cont,
-                   const ObjectId& oid, const std::string& dkey);
+  /// Read replica selection: a snapshot read pins to the primary (epochs
+  /// are stamped per engine) and is UNAVAILABLE unless it is UP; a HEAD
+  /// read takes the first UP replica.
+  Result<std::uint32_t> ReadEngine(const ObjectId& oid,
+                                   const std::string& dkey,
+                                   Epoch epoch) const;
   /// Unary call against a specific engine. Headers travel as the Encoder
   /// that built them so the RPC layer can refuse overflowed encodes.
   Result<rpc::RpcReply> Call(std::uint32_t engine, std::uint32_t opcode,
                              const rpc::Encoder& header,
                              const rpc::CallOptions& options = {});
-  /// Async form of Call: issues without awaiting (DOWN engines rejected).
-  Result<rpc::RpcClient::CallId> CallAsyncEngine(
-      std::uint32_t engine, std::uint32_t opcode,
-      const rpc::Encoder& header, const rpc::CallOptions& options = {});
-  /// Same call issued CONCURRENTLY to every writable replica of
-  /// (oid, dkey) — all requests go out before any reply is awaited; the
-  /// first landed copy's reply is returned (the primary's when it is up).
-  /// DOWN replicas and copies that fail UNAVAILABLE mid-flight degrade
-  /// into journal entries; the call fails only when no copy lands (the
-  /// Status reports "0/N replica copies landed") or a copy returns a
-  /// hard error (annotated with the landed count).
-  Result<rpc::RpcReply> CallReplicas(ContainerId cont, const ObjectId& oid,
-                                     const std::string& dkey,
-                                     std::uint32_t opcode,
-                                     const rpc::Encoder& header,
-                                     const rpc::CallOptions& options = {});
   /// Broadcast to every engine (container/namespace metadata). Strict: a
   /// DOWN engine fails the broadcast — metadata has no degraded mode.
   Result<rpc::RpcReply> CallAll(std::uint32_t opcode,

@@ -100,9 +100,7 @@ Result<std::unique_ptr<Dfs>> Dfs::Mount(daos::DaosClient* client,
     return Status(InvalidArgument("chunk size must be > 0"));
   }
   if (config.readahead_chunks == 0 || config.write_coalesce_chunks == 0) {
-    return Status(
-        InvalidArgument("stream windows must be >= 1 chunk (use the "
-                        "readahead/batch_io switches to disable)"));
+    return Status(InvalidArgument("stream windows must be >= 1 chunk"));
   }
   auto dfs = std::unique_ptr<Dfs>(new Dfs(client, cont, config));
   if (create) {
@@ -158,7 +156,7 @@ void Dfs::AttachTelemetry(telemetry::Telemetry* tree) {
 
 void Dfs::CacheInsert(const daos::ObjectId& dir, const std::string& name,
                       const DfsStat& stat) {
-  if (!config_.lookup_cache || config_.lookup_cache_entries == 0) return;
+  if (config_.lookup_cache_entries == 0) return;
   // Size is a live quantity (shared FileState / loaded on demand); the
   // cache pins only the immutable record {type, oid, mode}.
   DfsStat entry = stat;
@@ -181,7 +179,7 @@ void Dfs::CacheInsert(const daos::ObjectId& dir, const std::string& name,
 }
 
 void Dfs::CacheErase(const daos::ObjectId& dir, const std::string& name) {
-  if (!config_.lookup_cache) return;
+  if (config_.lookup_cache_entries == 0) return;
   const std::string key = CacheKey(dir, name);
   common::MutexLock lock(mu_);
   auto it = cache_index_.find(key);
@@ -212,7 +210,7 @@ Status Dfs::ResolveParent(const std::string& path, daos::ObjectId* parent,
 
 Result<DfsStat> Dfs::LookupEntry(const daos::ObjectId& dir,
                                  const std::string& name) {
-  if (config_.lookup_cache) {
+  if (config_.lookup_cache_entries != 0) {
     const std::string key = CacheKey(dir, name);
     common::MutexLock lock(mu_);
     auto it = cache_index_.find(key);
@@ -456,6 +454,19 @@ Status Dfs::Rename(const std::string& from, const std::string& to) {
   daos::ObjectId to_parent;
   std::string to_leaf;
   ROS2_RETURN_IF_ERROR(ResolveParent(to, &to_parent, &to_leaf));
+  // Onto itself is a no-op (POSIX); the Unlink(to) below would otherwise
+  // destroy the source.
+  if (to_parent == from_parent && to_leaf == from_leaf) return Status::Ok();
+  if (stat.type == InodeType::kDirectory) {
+    // Paths carry no links or dot components, so a component prefix is
+    // ancestry: moving a directory under itself would orphan it.
+    ROS2_ASSIGN_OR_RETURN(std::vector<std::string> src, SplitPath(from));
+    ROS2_ASSIGN_OR_RETURN(std::vector<std::string> dst, SplitPath(to));
+    if (dst.size() > src.size() &&
+        std::equal(src.begin(), src.end(), dst.begin())) {
+      return InvalidArgument("cannot move a directory into itself: " + to);
+    }
+  }
   auto existing = LookupEntry(to_parent, to_leaf);
   if (existing.ok()) {
     if (existing->type == InodeType::kDirectory) {
@@ -502,17 +513,15 @@ Result<std::uint64_t> Dfs::Read(Fd fd, std::uint64_t offset,
     ops.push_back(std::move(op));
     done += take;
   }
-  if (config_.batch_io) {
-    // Pipelined: every chunk RPC (across targets) is in flight before any
-    // reply is awaited.
-    ROS2_RETURN_IF_ERROR(client_->FetchBatch(ops));
-    read_batches_.Add(1);
-  } else {
-    for (const daos::DaosClient::FetchOp& op : ops) {
-      ROS2_RETURN_IF_ERROR(client_->Fetch(op.cont, op.oid, op.dkey, op.akey,
-                                          op.offset, op.out));
-    }
+  // Pipelined: every chunk RPC (across targets) is in flight before any
+  // reply is awaited. batch_io=false issues the same batch call one chunk
+  // at a time (the sequential baseline).
+  const std::size_t step = config_.batch_io ? ops.size() : 1;
+  for (std::size_t i = 0; i < ops.size(); i += step) {
+    ROS2_RETURN_IF_ERROR(
+        client_->FetchBatch(std::span(ops).subspan(i, step)));
   }
+  if (config_.batch_io) read_batches_.Add(1);
   chunk_fetches_.Add(ops.size());
   return n;
 }
@@ -540,17 +549,12 @@ Status Dfs::Write(Fd fd, std::uint64_t offset,
     ops.push_back(std::move(op));
     done += take;
   }
-  if (config_.batch_io) {
-    ROS2_RETURN_IF_ERROR(client_->UpdateBatch(ops).status());
-    write_batches_.Add(1);
-  } else {
-    for (const daos::DaosClient::UpdateOp& op : ops) {
-      ROS2_RETURN_IF_ERROR(client_
-                               ->Update(op.cont, op.oid, op.dkey, op.akey,
-                                        op.offset, op.data)
-                               .status());
-    }
+  const std::size_t step = config_.batch_io ? ops.size() : 1;
+  for (std::size_t i = 0; i < ops.size(); i += step) {
+    ROS2_RETURN_IF_ERROR(
+        client_->UpdateBatch(std::span(ops).subspan(i, step)).status());
   }
+  if (config_.batch_io) write_batches_.Add(1);
   chunk_updates_.Add(ops.size());
   const std::uint64_t end = offset + data.size();
   std::uint64_t current = 0;

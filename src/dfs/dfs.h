@@ -19,9 +19,10 @@
 // the full request instead of one round trip per chunk. Readdir lists one
 // dkey page server-side, then fetches every entry record in a single
 // FetchSingleBatch (no N+1 loop). Repeated path walks hit a bounded LRU
-// lookup cache keyed (parent oid, name). Every accelerator has a kill
-// switch in DfsConfig; counters land under the dfs/* telemetry subtree
-// via AttachTelemetry.
+// lookup cache keyed (parent oid, name). Two accelerators can be turned
+// off in DfsConfig, for the sequential baseline bench_micro_dfs compares
+// against: batch_io and the lookup cache (lookup_cache_entries = 0).
+// Counters land under the dfs/* telemetry subtree via AttachTelemetry.
 #pragma once
 
 #include <cstdint>
@@ -49,15 +50,12 @@ struct DfsConfig {
   /// sequential baseline bench_micro_dfs compares against).
   bool batch_io = true;
 
-  /// Path->entry LRU (bounded at lookup_cache_entries). Off = every walk
-  /// pays one RPC per component, like the pre-cache code.
-  bool lookup_cache = true;
+  /// Path->entry LRU bound. 0 = no cache: every walk pays one RPC per
+  /// component.
   std::size_t lookup_cache_entries = 4096;
 
   /// Input-stream readahead: DfsInputStream refills a window of
-  /// readahead_chunks chunks per miss. Off = the stream reads exactly what
-  /// the caller asked for, nothing speculative.
-  bool readahead = true;
+  /// readahead_chunks chunks per miss.
   std::uint64_t readahead_chunks = 8;
 
   /// Output-stream coalescing window, in chunks: DfsOutputStream buffers

@@ -78,12 +78,6 @@ Status DfsInputStream::Refill() {
 }
 
 Result<std::uint64_t> DfsInputStream::Read(std::span<std::byte> out) {
-  if (!dfs_->config().readahead) {
-    // Kill switch: no speculative window, one exact-size read per call.
-    ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd_, offset_, out));
-    offset_ += n;
-    return n;
-  }
   std::uint64_t done = 0;
   while (done < out.size()) {
     const bool in_window =

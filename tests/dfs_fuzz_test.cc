@@ -119,15 +119,15 @@ TEST_P(DfsFuzzTest, RandomOpsMatchReferenceFs) {
       EXPECT_EQ(status.ok(), exists) << path;
       ref.erase(path);
     } else if (dice < 90) {
-      // Rename to another random path.
+      // Rename to a random path, possibly the same one.
       const std::string to = RandomPath(rng);
-      if (to == path) continue;
       const Status status = dfs_->Rename(path, to);
       if (!exists) {
         EXPECT_FALSE(status.ok());
         continue;
       }
       ASSERT_TRUE(status.ok()) << path << " -> " << to;
+      if (to == path) continue;  // renaming a name onto itself is a no-op
       ref[to] = std::move(ref[path]);
       ref.erase(path);
     } else if (exists) {

@@ -236,6 +236,50 @@ TEST_P(DfsTest, RenameOverwritesFile) {
   EXPECT_EQ(VerifyPattern(out, 1, 0), -1);
 }
 
+TEST_P(DfsTest, RenameOntoItselfKeepsTheFile) {
+  OpenFlags create;
+  create.create = true;
+  auto fd = dfs_->Open("/a", create);
+  ASSERT_TRUE(fd.ok());
+  Buffer data = MakePatternBuffer(3000, 4);
+  ASSERT_TRUE(dfs_->Write(*fd, 0, data).ok());
+  ASSERT_TRUE(dfs_->Close(*fd).ok());
+
+  ASSERT_TRUE(dfs_->Rename("/a", "/a").ok());
+  ASSERT_TRUE(dfs_->Rename("/a", "//a").ok());
+  auto again = dfs_->Open("/a", OpenFlags{});
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  Buffer out(data.size());
+  auto n = dfs_->Read(*again, 0, out);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, data.size());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(dfs_->Rename("/missing", "/missing").code(), ErrorCode::kNotFound);
+}
+
+TEST_P(DfsTest, RenameDirectoryIntoItsOwnSubtreeIsRejected) {
+  ASSERT_TRUE(dfs_->Mkdir("/d").ok());
+  ASSERT_TRUE(dfs_->Mkdir("/d/x").ok());
+  OpenFlags create;
+  create.create = true;
+  ASSERT_TRUE(dfs_->Open("/d/f", create).ok());
+
+  EXPECT_EQ(dfs_->Rename("/d", "/d/sub").code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(dfs_->Rename("/d", "/d/x/sub").code(),
+            ErrorCode::kInvalidArgument);
+  auto root = dfs_->Readdir("/");
+  ASSERT_TRUE(root.ok());
+  ASSERT_EQ(root->size(), 1u);
+  EXPECT_EQ((*root)[0].name, "d");
+  auto listing = dfs_->Readdir("/d");
+  ASSERT_TRUE(listing.ok());
+  ASSERT_EQ(listing->size(), 2u);
+  EXPECT_EQ((*listing)[0].name, "f");
+  EXPECT_EQ((*listing)[1].name, "x");
+  // A sibling whose name extends the source's is not inside it.
+  EXPECT_TRUE(dfs_->Rename("/d/f", "/df").ok());
+}
+
 TEST_P(DfsTest, TruncateShrinkAndExtend) {
   OpenFlags create;
   create.create = true;

@@ -103,9 +103,9 @@ TEST(FaultPlanTest, DelayPayloadRidesTheDecision) {
   EXPECT_EQ(plan.Evaluate(FaultPoint::kRpcDelay).delay_us, 0u);
 }
 
-// --- net-layer integration: the legacy injectors arm the same plan ------
+// --- net-layer integration: Qp and Endpoint consult their own plans ----
 
-TEST(FaultPlanNetTest, LegacySendInjectorArmsQpPlan) {
+TEST(FaultPlanNetTest, QpPlanFailsSends) {
   net::Fabric fabric;
   auto a = fabric.CreateEndpoint("fabric://fault-a");
   auto b = fabric.CreateEndpoint("fabric://fault-b");
@@ -113,7 +113,7 @@ TEST(FaultPlanNetTest, LegacySendInjectorArmsQpPlan) {
   auto qp = (*a)->Connect(*b, net::Transport::kTcp, (*a)->AllocPd(),
                           (*b)->AllocPd());
   ASSERT_TRUE(qp.ok());
-  (*qp)->InjectSendFaults(2);
+  (*qp)->fault_plan().Arm(FaultPoint::kNetSend, {.count = 2});
   EXPECT_TRUE((*qp)->fault_plan().armed(FaultPoint::kNetSend));
   Buffer payload = MakePatternBuffer(64, 1);
   EXPECT_EQ((*qp)->Send(payload).code(), ErrorCode::kUnavailable);
@@ -122,11 +122,11 @@ TEST(FaultPlanNetTest, LegacySendInjectorArmsQpPlan) {
   EXPECT_EQ((*qp)->fault_plan().fired(FaultPoint::kNetSend), 2u);
 }
 
-TEST(FaultPlanNetTest, LegacyRegisterInjectorHonorsSkip) {
+TEST(FaultPlanNetTest, EndpointPlanHonorsRegisterSkip) {
   net::Fabric fabric;
   auto ep = fabric.CreateEndpoint("fabric://fault-reg");
   ASSERT_TRUE(ep.ok());
-  (*ep)->InjectRegisterFaults(/*skip=*/1, /*count=*/1);
+  (*ep)->fault_plan().Arm(FaultPoint::kNetRegister, {.skip = 1, .count = 1});
   Buffer buf = MakePatternBuffer(128, 2);
   const auto pd = (*ep)->AllocPd();
   auto first = (*ep)->RegisterMemory(pd, buf, net::kRemoteRead);

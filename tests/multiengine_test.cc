@@ -6,6 +6,7 @@
 #include "common/bytes.h"
 #include "common/units.h"
 #include "daos/client.h"
+#include "daos/placement.h"
 #include "dfs/dfs.h"
 
 namespace ros2::daos {
@@ -171,6 +172,20 @@ TEST_P(MultiEngineTest, WriteFailsWhenNoReplicaWritable) {
   EXPECT_NE(status.message().find("no writable replica"),
             std::string::npos)
       << status.ToString();
+  // A single op is a batch of one: the batch form fails the same way,
+  // alone and beside other ops.
+  std::vector<DaosClient::UpdateOp> ops;
+  for (const char* dkey : {"dk", "dk2", "dk3"}) {
+    ops.push_back({.cont = *cont, .oid = *oid, .dkey = dkey, .akey = "a",
+                   .data = data});
+  }
+  for (std::size_t n : {std::size_t(1), ops.size()}) {
+    const Status batch =
+        (*client)->UpdateBatch(std::span(ops).first(n)).status();
+    EXPECT_EQ(batch.code(), status.code()) << n;
+    EXPECT_NE(batch.message().find("no writable replica"), std::string::npos)
+        << batch.ToString();
+  }
 }
 
 TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
@@ -190,6 +205,65 @@ TEST_P(MultiEngineTest, SnapshotReadsPinToPrimary) {
   EXPECT_EQ(out, v1);
   ASSERT_TRUE((*client)->Fetch(*cont, *oid, "dk", "a", 0, out).ok());
   EXPECT_EQ(out, v2);
+
+  // The batch forms pin the same way, alone and beside a HEAD read.
+  Buffer snap_out(256);
+  Buffer head_out(256);
+  const DaosClient::FetchOp fetches[] = {
+      {.cont = *cont, .oid = *oid, .dkey = "dk", .akey = "a",
+       .out = snap_out, .epoch = *e1},
+      {.cont = *cont, .oid = *oid, .dkey = "dk", .akey = "a",
+       .out = head_out}};
+  ASSERT_TRUE((*client)->FetchBatch(std::span(fetches).first(1)).ok());
+  EXPECT_EQ(snap_out, v1);
+  ASSERT_TRUE((*client)->FetchBatch(fetches).ok());
+  EXPECT_EQ(snap_out, v1);
+  EXPECT_EQ(head_out, v2);
+
+  auto s1 = (*client)->UpdateSingle(*cont, *oid, "dk", "s", v1);
+  ASSERT_TRUE(s1.ok());
+  ASSERT_TRUE((*client)->UpdateSingle(*cont, *oid, "dk", "s", v2).ok());
+  auto single = (*client)->FetchSingle(*cont, *oid, "dk", "s", *s1);
+  ASSERT_TRUE(single.ok());
+  EXPECT_EQ(*single, v1);
+  const DaosClient::SingleFetchOp singles[] = {
+      {.cont = *cont, .oid = *oid, .dkey = "dk", .akey = "s", .epoch = *s1},
+      {.cont = *cont, .oid = *oid, .dkey = "dk", .akey = "s"}};
+  auto one = (*client)->FetchSingleBatch(std::span(singles).first(1));
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE((*one)[0].ok());
+  EXPECT_EQ(*(*one)[0], v1);
+  auto both = (*client)->FetchSingleBatch(singles);
+  ASSERT_TRUE(both.ok());
+  ASSERT_TRUE((*both)[0].ok() && (*both)[1].ok());
+  EXPECT_EQ(*(*both)[0], v1);
+  EXPECT_EQ(*(*both)[1], v2);
+
+  // Primary DOWN: a snapshot read cannot fail over on any entry point...
+  ASSERT_TRUE(
+      (*client)->SetEngineDown(PlaceEngine(*oid, "dk", kEngines), true).ok());
+  EXPECT_EQ((*client)->Fetch(*cont, *oid, "dk", "a", 0, out, *e1).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)->FetchBatch(std::span(fetches).first(1)).code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)->FetchBatch(fetches).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)->FetchSingle(*cont, *oid, "dk", "s", *s1).status().code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)
+                ->FetchSingleBatch(std::span(singles).first(1))
+                .status()
+                .code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)->FetchSingleBatch(singles).status().code(),
+            ErrorCode::kUnavailable);
+  EXPECT_EQ((*client)->ArraySize(*cont, *oid, "dk", "a", *e1).status().code(),
+            ErrorCode::kUnavailable);
+  // ...while HEAD reads fail over to the surviving replica.
+  ASSERT_TRUE((*client)->Fetch(*cont, *oid, "dk", "a", 0, out).ok());
+  EXPECT_EQ(out, v2);
+  ASSERT_TRUE(
+      (*client)->FetchBatch(std::span(fetches).subspan(1)).ok());
+  EXPECT_EQ(head_out, v2);
 }
 
 TEST_P(MultiEngineTest, DfsRunsUnchangedOnScaleOutPool) {
