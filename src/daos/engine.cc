@@ -288,8 +288,8 @@ void DaosEngine::SetupTelemetry() {
     return std::int64_t(endpoint_->mr_cache().leased());
   });
 
-  // Per-target VOS: op counts and tier placement (atomics readable while
-  // the target worker ticks them).
+  // Per-target VOS: op counts, tier placement and fetch load volume
+  // (atomics readable while the target worker ticks them).
   for (std::uint32_t t = 0; t < std::uint32_t(targets_.size()); ++t) {
     const Vos* vos = targets_[t].vos.get();
     const std::string base = "vos/target/" + std::to_string(t) + "/";
@@ -314,6 +314,11 @@ void DaosEngine::SetupTelemetry() {
     telemetry_.RegisterCallback(base + "bytes_in_nvme", [vos, read] {
       return read(vos->stats().bytes_in_nvme);
     });
+    // Fetch load volume (chunk rounding included) against what was
+    // verified: the tier-level read amplification of every fetch.
+    telemetry_.LinkCounter(base + "bytes_loaded", &vos->stats().bytes_loaded);
+    telemetry_.LinkCounter(base + "bytes_verified",
+                           &vos->stats().bytes_verified);
   }
 }
 

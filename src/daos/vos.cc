@@ -23,7 +23,13 @@ Vos::~Vos() = default;
 Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
   ValueLoc loc;
   loc.logical_len = data.size();
-  loc.crc = config_.checksums ? Crc32c(data) : 0;
+  if (config_.checksums) {
+    loc.crc0 = Crc32c(data.first(std::min(data.size(), kCsumChunk)));
+    for (std::uint64_t at = kCsumChunk; at < data.size(); at += kCsumChunk) {
+      loc.crc_rest.push_back(
+          Crc32c(data.subspan(at, std::min(data.size() - at, kCsumChunk))));
+    }
+  }
   if (data.size() <= config_.scm_threshold) {
     loc.tier = ValueLoc::Tier::kScm;
     ROS2_ASSIGN_OR_RETURN(loc.scm_handle,
@@ -52,24 +58,57 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
   return loc;
 }
 
-Status Vos::Load(const ValueLoc& loc, std::span<std::byte> out) const {
-  if (out.size() != loc.logical_len) {
-    return Internal("loc load size mismatch");
+Status Vos::Load(const ValueLoc& loc, std::uint64_t lo,
+                 std::span<std::byte> out) const {
+  const std::uint64_t hi = lo + out.size();
+  if (hi > loc.logical_len) return Internal("load past the record end");
+  if (out.empty()) return Status::Ok();
+  // Record range [first, last) that must be read: the covering checksum
+  // chunks when verifying, just the slice otherwise.
+  std::uint64_t first = lo;
+  std::uint64_t last = hi;
+  if (config_.checksums) {
+    first = lo / kCsumChunk * kCsumChunk;
+    last = std::min((hi + kCsumChunk - 1) / kCsumChunk * kCsumChunk,
+                    loc.logical_len);
   }
+  std::span<const std::byte> covered;  // record bytes [first, last)
+  Buffer staged;
   if (loc.tier == ValueLoc::Tier::kScm) {
+    // Verified in place on the arena; only the slice is copied out.
     auto span = scm_->Deref(loc.scm_handle);
     if (!span.ok()) return span.status();
-    std::memcpy(out.data(), span->data(), loc.logical_len);
+    covered = span->subspan(first, last - first);
+    stats_.bytes_loaded.Add(last - first);
   } else {
-    Buffer staged(loc.length);
-    ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset, staged));
-    std::memcpy(out.data(), staged.data(), loc.logical_len);
+    const std::uint32_t lba = nvme_->block_size();
+    const std::uint64_t read_lo = first / lba * lba;
+    const std::uint64_t read_hi = (last + lba - 1) / lba * lba;
+    if (read_lo == lo && read_hi == hi) {
+      // Whole aligned blocks (chunks, when verifying): read straight into
+      // the caller's buffer and verify it there.
+      ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + lo, out));
+      covered = out;
+    } else {
+      staged = Buffer(read_hi - read_lo);
+      ROS2_RETURN_IF_ERROR(nvme_->Read(loc.nvme_offset + read_lo, staged));
+      covered = std::span<const std::byte>(staged).subspan(first - read_lo,
+                                                           last - first);
+    }
+    stats_.bytes_loaded.Add(read_hi - read_lo);
   }
   if (config_.checksums) {
-    const std::uint32_t crc = Crc32c(out);
-    if (crc != loc.crc) {
-      return DataLoss("extent checksum mismatch (end-to-end CRC-32C)");
+    for (std::uint64_t at = first; at < last; at += kCsumChunk) {
+      const std::uint64_t len = std::min(last - at, kCsumChunk);
+      if (Crc32c(covered.subspan(at - first, len)) !=
+          loc.crc(at / kCsumChunk)) {
+        return DataLoss("extent checksum mismatch (end-to-end CRC-32C)");
+      }
     }
+    stats_.bytes_verified.Add(last - first);
+  }
+  if (covered.data() != out.data()) {
+    std::memcpy(out.data(), covered.data() + (lo - first), out.size());
   }
   return Status::Ok();
 }
@@ -139,36 +178,47 @@ Status Vos::FetchArray(const ObjectId& oid, const std::string& dkey,
                        const std::string& akey, Epoch epoch,
                        std::uint64_t offset, std::span<std::byte> out) const {
   auto value = FindValue(oid, dkey, akey, ValueType::kArray);
-  std::memset(out.data(), 0, out.size());
-  if (!value.ok()) {
-    // Missing object/keys read as holes (DAOS fetch semantics).
-    return Status::Ok();
-  }
   const Extent want{offset, out.size()};
-  // Replay the record log in epoch order; newest visible record wins by
-  // being applied last.
-  for (const ArrayRecord& rec : (*value)->records) {
-    if (epoch != kEpochHead && rec.epoch > epoch) continue;
-    if (rec.punch) {
-      const std::uint64_t lo = std::max(rec.extent.offset, want.offset);
-      const std::uint64_t hi = std::min(rec.extent.end(), want.end());
-      if (lo < hi) {
-        std::memset(out.data() + (lo - want.offset), 0, hi - lo);
+  // The parts of the request no visible record has covered yet, in
+  // offset order. Missing object/keys leave it all open: holes (DAOS
+  // fetch semantics).
+  std::vector<Extent> open;
+  if (!out.empty()) open.push_back(want);
+  if (value.ok()) {
+    // Newest visible record wins: walk the log newest-first and let each
+    // record fill only what is still open, so shadowed bytes are never
+    // loaded. A punch loads nothing; it zeroes and closes what it covers.
+    const std::vector<ArrayRecord>& records = (*value)->records;
+    std::vector<Extent> next;
+    for (auto rec = records.rbegin(); rec != records.rend() && !open.empty();
+         ++rec) {
+      if (epoch != kEpochHead && rec->epoch > epoch) continue;
+      if (!rec->extent.Overlaps(want)) continue;
+      next.clear();
+      for (const Extent& gap : open) {
+        const std::uint64_t lo = std::max(gap.offset, rec->extent.offset);
+        const std::uint64_t hi = std::min(gap.end(), rec->extent.end());
+        if (lo >= hi) {
+          next.push_back(gap);
+          continue;
+        }
+        const std::span<std::byte> fill =
+            out.subspan(lo - want.offset, hi - lo);
+        if (rec->punch) {
+          std::memset(fill.data(), 0, fill.size());
+        } else {
+          ROS2_RETURN_IF_ERROR(Load(rec->loc, lo - rec->extent.offset, fill));
+        }
+        if (gap.offset < lo) next.push_back({gap.offset, lo - gap.offset});
+        if (hi < gap.end()) next.push_back({hi, gap.end() - hi});
       }
-      continue;
+      open.swap(next);
     }
-    if (!rec.extent.Overlaps(want)) continue;
-    // Load the whole stored extent so the record CRC can be verified, then
-    // copy the overlapping slice (DAOS verifies per-chunk checksums the
-    // same way).
-    Buffer staged(rec.loc.logical_len);
-    ROS2_RETURN_IF_ERROR(Load(rec.loc, staged));
-    const std::uint64_t lo = std::max(rec.extent.offset, want.offset);
-    const std::uint64_t hi = std::min(rec.extent.end(), want.end());
-    std::memcpy(out.data() + (lo - want.offset),
-                staged.data() + (lo - rec.extent.offset), hi - lo);
+    ++stats_.fetches;
   }
-  ++stats_.fetches;
+  for (const Extent& hole : open) {
+    std::memset(out.data() + (hole.offset - want.offset), 0, hole.length);
+  }
   return Status::Ok();
 }
 
@@ -223,7 +273,7 @@ Result<Buffer> Vos::FetchSingle(const ObjectId& oid, const std::string& dkey,
     return Status(NotFound("no visible value at epoch"));
   }
   Buffer out(visible->loc.logical_len);
-  ROS2_RETURN_IF_ERROR(Load(visible->loc, out));
+  ROS2_RETURN_IF_ERROR(Load(visible->loc, 0, out));
   return out;
 }
 

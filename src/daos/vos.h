@@ -6,9 +6,13 @@
 //   object -> dkey -> akey -> { single value | extent array }
 //
 // Every update is stamped with an epoch; fetches read "as of" an epoch
-// (overlapping extents resolve newest-visible-wins). Records carry
-// end-to-end CRC-32C: computed at ingest, verified on every fetch, so a
-// corrupted tier surfaces as DATA_LOSS rather than silent bad bytes.
+// (overlapping extents resolve newest-visible-wins: the record log is
+// walked newest-first and each record fills only the bytes no newer
+// record already covered). Records carry end-to-end CRC-32C, one per
+// 32 KiB checksum chunk (the DAOS csum_chunk_size default): computed at
+// ingest, and verified on exactly the chunks a fetch returns bytes from,
+// so a corrupted tier surfaces as DATA_LOSS rather than silent bad bytes.
+// Corruption in bytes a fetch does not return does not fail that fetch.
 //
 // Tiering follows DAOS policy: records <= the SCM threshold (and all
 // single values) land in the PMEM pool; larger extents go to NVMe through
@@ -27,6 +31,7 @@
 #include "daos/types.h"
 #include "scm/pmem_pool.h"
 #include "spdk/bdev.h"
+#include "telemetry/metrics.h"
 
 namespace ros2::daos {
 
@@ -50,6 +55,11 @@ struct VosStats {
   std::atomic<std::uint64_t> nvme_records{0};
   std::atomic<std::uint64_t> bytes_in_scm{0};
   std::atomic<std::uint64_t> bytes_in_nvme{0};
+  /// Bytes read from either tier by fetches, checksum-chunk and LBA
+  /// rounding included (linked into the engine's telemetry tree).
+  telemetry::Counter bytes_loaded;
+  /// Bytes run through CRC-32C verification by fetches.
+  telemetry::Counter bytes_verified;
 };
 
 class Vos {
@@ -123,6 +133,11 @@ class Vos {
 
   const VosStats& stats() const { return stats_; }
 
+  /// Checksum granularity: one CRC-32C per this many record bytes (the
+  /// DAOS csum_chunk_size default). A multiple of every LBA size in use,
+  /// so chunk boundaries are also NVMe block boundaries.
+  static constexpr std::uint64_t kCsumChunk = 32 * 1024;
+
  private:
   /// Where a record's bytes physically live.
   struct ValueLoc {
@@ -131,7 +146,14 @@ class Vos {
     std::uint64_t nvme_offset = 0;
     std::uint64_t length = 0;       ///< stored bytes (LBA-padded on NVMe)
     std::uint64_t logical_len = 0;  ///< caller bytes
-    std::uint32_t crc = 0;
+    /// CRC-32C of checksum chunk 0; inline so a one-chunk record (every
+    /// SCM record up to kCsumChunk) pays no extra allocation.
+    std::uint32_t crc0 = 0;
+    std::vector<std::uint32_t> crc_rest;  ///< chunks 1..n-1
+
+    std::uint32_t crc(std::uint64_t chunk) const {
+      return chunk == 0 ? crc0 : crc_rest[chunk - 1];
+    }
   };
 
   /// One versioned extent record in an array's log.
@@ -158,7 +180,10 @@ class Vos {
   using Object = std::map<std::string, DkeyMap>;
 
   Result<ValueLoc> Store(std::span<const std::byte> data);
-  Status Load(const ValueLoc& loc, std::span<std::byte> out) const;
+  /// Reads record bytes [lo, lo+out.size()) into `out`, after verifying
+  /// every checksum chunk that range touches.
+  Status Load(const ValueLoc& loc, std::uint64_t lo,
+              std::span<std::byte> out) const;
   void Release(ValueLoc& loc);
 
   Result<const AkeyValue*> FindValue(const ObjectId& oid,

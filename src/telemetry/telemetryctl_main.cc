@@ -12,8 +12,9 @@
 //                           [--engines=N] [--replicas=R] [--rebuild]
 //       One workload pass, one snapshot, rendered as a table (or JSON).
 //       --check validates the end-to-end wiring (non-zero per-opcode
-//       latency histograms, per-target queue-depth gauges, op counters)
-//       and exits 1 on failure — ci.sh runs this as its smoke test.
+//       latency histograms, per-target queue-depth gauges, op counters,
+//       VOS fetch load/verify byte counters) and exits 1 on failure —
+//       ci.sh runs this as its smoke test.
 //       --post-mortem stops the progress thread first and dumps the
 //       snapshot it published on the way out (the after-Stop() view).
 //       --rebuild runs the self-healing scenario instead (defaults to 3
@@ -379,6 +380,8 @@ bool CheckSnapshot(const telemetry::TelemetrySnapshot& snap,
     require(snap.ValueOr(base + "/requests", 0) > 0, base + "/requests > 0");
   }
   std::uint64_t executed = 0;
+  std::uint64_t loaded = 0;
+  std::uint64_t verified = 0;
   for (std::uint32_t t = 0; t < options.targets; ++t) {
     const std::string base = Cat("sched/target/", std::to_string(t)) + "/";
     const telemetry::MetricValue* depth = snap.Find(base + "queue_depth");
@@ -386,9 +389,15 @@ bool CheckSnapshot(const telemetry::TelemetrySnapshot& snap,
                 depth->kind == telemetry::MetricKind::kGauge,
             base + "queue_depth gauge present");
     executed += snap.ValueOr(base + "executed", 0);
+    const std::string vos = Cat("vos/target/", std::to_string(t)) + "/";
+    loaded += snap.ValueOr(vos + "bytes_loaded", 0);
+    verified += snap.ValueOr(vos + "bytes_verified", 0);
   }
   require(executed >= (options.rebuild ? 2 : 2 * ops),
           "per-target executed covers the workload");
+  require(loaded > 0, "vos/target/*/bytes_loaded > 0 (fetches read a tier)");
+  require(verified > 0,
+          "vos/target/*/bytes_verified > 0 (fetches checked CRC-32C)");
   require(snap.ValueOr("engine/started_at", 0) > 0,
           "engine/started_at stamped");
 

@@ -396,17 +396,30 @@ TEST(EngineTelemetryTest, QueryExportsLiveMetricsOverRpc) {
   EXPECT_GT(snap->ValueOr("engine/started_at", 0), 0u);
   std::uint64_t executed = 0;
   std::uint64_t vos_updates = 0;
+  std::uint64_t vos_loaded = 0;
+  std::uint64_t vos_verified = 0;
   for (std::uint32_t t = 0; t < h->engine->num_targets(); ++t) {
     const std::string sched = "sched/target/" + std::to_string(t) + "/";
     const MetricValue* depth = snap->Find(sched + "queue_depth");
     ASSERT_NE(depth, nullptr) << sched;
     EXPECT_EQ(int(depth->kind), int(MetricKind::kGauge));
     executed += snap->ValueOr(sched + "executed", 0);
-    vos_updates += snap->ValueOr(
-        "vos/target/" + std::to_string(t) + "/updates", 0);
+    const std::string vos = "vos/target/" + std::to_string(t) + "/";
+    vos_updates += snap->ValueOr(vos + "updates", 0);
+    for (const char* leaf : {"bytes_loaded", "bytes_verified"}) {
+      const MetricValue* m = snap->Find(vos + leaf);
+      ASSERT_NE(m, nullptr) << vos << leaf;
+      EXPECT_EQ(int(m->kind), int(MetricKind::kCounter)) << vos << leaf;
+    }
+    vos_loaded += snap->ValueOr(vos + "bytes_loaded", 0);
+    vos_verified += snap->ValueOr(vos + "bytes_verified", 0);
   }
   EXPECT_EQ(executed, std::uint64_t(2 * kOps));
   EXPECT_EQ(vos_updates, std::uint64_t(kOps));
+  // Every single-value fetch loads and verifies its whole (one-chunk)
+  // SCM record.
+  EXPECT_GT(vos_loaded, 0u);
+  EXPECT_EQ(vos_verified, vos_loaded);
   EXPECT_GT(snap->ValueOr("sched/busy_ns", 0), 0u);
   EXPECT_GT(snap->ValueOr("net/bytes_sent", 0), 0u);
   EXPECT_EQ(snap->ValueOr("engine/cont/telemetry/epoch", 0),

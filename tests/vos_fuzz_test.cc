@@ -1,7 +1,8 @@
 // Property/fuzz test: the versioned object store against a reference
 // model. Thousands of randomized updates/fetches/punches/aggregations on
 // one array must always agree with a plain byte-map that applies the same
-// operations — across seeds (TEST_P) and at historical epochs.
+// operations — across seeds (TEST_P) and at historical epochs, for whole
+// images and for random windows that cross checksum chunks and tiers.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -82,6 +83,7 @@ class VosFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(VosFuzzTest, RandomOpsMatchReference) {
   Rng rng(GetParam());
+  Rng probe(GetParam() ^ 0x5EED);
   ReferenceArray ref;
   Epoch epoch = 0;
   std::vector<Epoch> checkpoints;
@@ -115,20 +117,26 @@ TEST_P(VosFuzzTest, RandomOpsMatchReference) {
                       [upto](Epoch e) { return e < upto; });
       }
     } else if (dice < 95) {
-      // Random-window fetch against the reference head.
-      const Buffer head = ref.At(kEpochHead);
-      const std::uint64_t offset = rng.Below(kArraySpan);
-      const std::uint64_t length = 1 + rng.Below(8192);
-      Buffer got(length);
-      ASSERT_TRUE(vos_
-                      ->FetchArray(oid_, "dk", "ak", kEpochHead, offset,
-                                   got)
-                      .ok());
+      // Random-window fetch at HEAD or a retained checkpoint epoch. Windows
+      // up to 160 KiB cross checksum-chunk, record and SCM/NVMe tier
+      // boundaries. Windows draw from their own Rng, so the op sequence
+      // depends on the seed alone. The buffer starts non-zero so holes
+      // must be zeroed by the fetch.
+      const Epoch at = checkpoints.empty() || probe.Below(2) == 0
+                           ? kEpochHead
+                           : checkpoints[probe.Below(checkpoints.size())];
+      const Buffer image = ref.At(at);
+      const std::uint64_t offset = probe.Below(kArraySpan);
+      const std::uint64_t length = 1 + probe.Below(160 * 1024);
+      Buffer got = MakePatternBuffer(length, 0xF1);
+      ASSERT_TRUE(
+          vos_->FetchArray(oid_, "dk", "ak", at, offset, got).ok());
       for (std::uint64_t i = 0; i < length; ++i) {
         const std::uint64_t pos = offset + i;
         const std::byte expect =
-            pos < head.size() ? head[pos] : std::byte(0);
-        ASSERT_EQ(got[i], expect) << "step " << step << " pos " << pos;
+            pos < image.size() ? image[pos] : std::byte(0);
+        ASSERT_EQ(got[i], expect)
+            << "step " << step << " epoch " << at << " pos " << pos;
       }
     } else {
       checkpoints.push_back(epoch);

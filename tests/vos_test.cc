@@ -148,6 +148,128 @@ TEST_F(VosTest, ChecksumDetectsNvmeCorruption) {
             ErrorCode::kDataLoss);
 }
 
+// The integrity contract is per checksum chunk: a fetch fails with
+// DATA_LOSS exactly when a chunk it returns bytes from is corrupt.
+TEST_F(VosTest, NvmeCorruptionFailsOnlyFetchesOfTheCorruptChunk) {
+  Buffer data = MakePatternBuffer(1 << 20, 4);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  // One 4 KiB LBA inside checksum chunk 2 ([64 KiB, 96 KiB)).
+  spdk::Bdev raw(device_.get());
+  ASSERT_TRUE(raw.Write(68 * 1024, MakePatternBuffer(4096, 0xEE)).ok());
+
+  Buffer out(4096);
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 8 * 1024, out).ok());
+  EXPECT_EQ(VerifyPattern(out, 4, 8 * 1024), -1);
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 200 * 1024, out).ok());
+  EXPECT_EQ(VerifyPattern(out, 4, 200 * 1024), -1);
+  // Bytes outside the corrupt LBA but inside its chunk are unverifiable.
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 90 * 1024, out)
+                .code(),
+            ErrorCode::kDataLoss);
+  // A window that only straddles into the corrupt chunk fails too.
+  Buffer straddle(8192);
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 60 * 1024,
+                             straddle)
+                .code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST_F(VosTest, ScmCorruptionFailsOnlyFetchesOfTheCorruptChunk) {
+  Buffer data = MakePatternBuffer(64 * 1024, 5);  // two chunks, SCM tier
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  ASSERT_EQ(vos_->stats().scm_records, 1u);
+  auto span = scm_->Deref(1);
+  ASSERT_TRUE(span.ok());
+  (*span)[40000] ^= std::byte(0xFF);  // checksum chunk 1
+
+  Buffer out(4096);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(VerifyPattern(out, 5, 0), -1);
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 50000, out).code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST_F(VosTest, ShadowedCorruptionFailsOnlySnapshotReadsThatReturnIt) {
+  Buffer old_bytes = MakePatternBuffer(4096, 6);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, old_bytes).ok());
+  auto span = scm_->Deref(1);
+  ASSERT_TRUE(span.ok());
+  (*span)[10] ^= std::byte(0xFF);
+  Buffer new_bytes = MakePatternBuffer(4096, 7);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 2, 0, new_bytes).ok());
+
+  // HEAD returns only the newer record: the shadowed one is never loaded.
+  Buffer out(4096);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
+  EXPECT_EQ(out, new_bytes);
+  // The snapshot at epoch 1 returns the corrupt bytes.
+  EXPECT_EQ(vos_->FetchArray(oid_, "dk", "ak", 1, 0, out).code(),
+            ErrorCode::kDataLoss);
+}
+
+TEST_F(VosTest, TailChunkOfPaddedRecordReadsBack) {
+  const std::uint64_t size = (1 << 20) + 777;
+  Buffer large = MakePatternBuffer(size, 3);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, large).ok());
+  // The 777-byte tail chunk alone, then a window straddling into it.
+  Buffer tail(777);
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 1 << 20, tail).ok());
+  EXPECT_EQ(VerifyPattern(tail, 3, 1 << 20), -1);
+  Buffer straddle(5000);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, size - 4000,
+                               straddle)
+                  .ok());
+  EXPECT_EQ(VerifyPattern(std::span<const std::byte>(straddle.data(), 4000),
+                          3, size - 4000),
+            -1);
+  for (std::size_t i = 4000; i < straddle.size(); ++i) {
+    ASSERT_EQ(straddle[i], std::byte(0)) << "byte " << i;
+  }
+}
+
+TEST_F(VosTest, FetchLoadsOnlyTheCoveringChunks) {
+  Buffer data = MakePatternBuffer(1 << 20, 8);
+  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  Buffer out(4096);
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 100 * 1024, out).ok());
+  EXPECT_EQ(VerifyPattern(out, 8, 100 * 1024), -1);
+  EXPECT_EQ(vos_->stats().bytes_loaded.value(), Vos::kCsumChunk);
+  EXPECT_EQ(vos_->stats().bytes_verified.value(), Vos::kCsumChunk);
+
+  // A newer overwrite of that window shadows the NVMe record entirely.
+  Buffer fresh = MakePatternBuffer(4096, 9);
+  ASSERT_TRUE(
+      vos_->UpdateArray(oid_, "dk", "ak", 2, 100 * 1024, fresh).ok());
+  ASSERT_TRUE(
+      vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 100 * 1024, out).ok());
+  EXPECT_EQ(out, fresh);
+  EXPECT_EQ(vos_->stats().bytes_loaded.value(), Vos::kCsumChunk + 4096);
+
+  // Whole aligned chunks load exactly themselves, with or without
+  // checksums.
+  Buffer chunks(2 * Vos::kCsumChunk);
+  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead,
+                               5 * Vos::kCsumChunk, chunks)
+                  .ok());
+  EXPECT_EQ(VerifyPattern(chunks, 8, 5 * Vos::kCsumChunk), -1);
+  EXPECT_EQ(vos_->stats().bytes_loaded.value(),
+            3 * Vos::kCsumChunk + 4096);
+  VosConfig unchecked;
+  unchecked.checksums = false;
+  unchecked.nvme_base = 128 * kMiB;  // clear of vos_'s partition
+  unchecked.nvme_capacity = 64 * kMiB;
+  Vos raw(scm_.get(), bdev_.get(), unchecked);
+  ASSERT_TRUE(raw.UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
+  ASSERT_TRUE(
+      raw.FetchArray(oid_, "dk", "ak", kEpochHead, 12 * 1024, out).ok());
+  EXPECT_EQ(VerifyPattern(out, 8, 12 * 1024), -1);
+  EXPECT_EQ(raw.stats().bytes_loaded.value(), 4096u);
+}
+
 TEST_F(VosTest, SingleValueRoundTripAndVersioning) {
   Buffer v1 = MakePatternBuffer(64, 1);
   Buffer v2 = MakePatternBuffer(64, 2);
@@ -179,7 +301,7 @@ TEST_F(VosTest, PunchAkeyMakesRangeHoles) {
   Buffer data = MakePatternBuffer(100, 1);
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, data).ok());
   ASSERT_TRUE(vos_->PunchAkey(oid_, "dk", "ak", 2).ok());
-  Buffer out(100);
+  Buffer out = MakePatternBuffer(100, 9);  // the fetch must zero it
   ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
   for (std::byte b : out) EXPECT_EQ(b, std::byte(0));
   // Pre-punch epoch still sees the data (versioned punch).
@@ -193,12 +315,13 @@ TEST_F(VosTest, WriteAfterPunchVisible) {
   ASSERT_TRUE(vos_->PunchAkey(oid_, "dk", "ak", 2).ok());
   Buffer fresh = MakePatternBuffer(50, 2);
   ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 3, 25, fresh).ok());
-  Buffer out(100);
+  Buffer out = MakePatternBuffer(100, 9);  // the fetch must zero the holes
   ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
   for (int i = 0; i < 25; ++i) ASSERT_EQ(out[i], std::byte(0));
   EXPECT_EQ(
       VerifyPattern(std::span<const std::byte>(out.data() + 25, 50), 2, 0),
       -1);
+  for (int i = 75; i < 100; ++i) ASSERT_EQ(out[i], std::byte(0));
 }
 
 TEST_F(VosTest, PunchObjectReclaimsStorage) {
@@ -279,6 +402,8 @@ TEST_F(VosTest, ChecksumsOffSkipsVerification) {
   Buffer out(512);
   ASSERT_TRUE(vos.FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
   EXPECT_EQ(out, data);
+  EXPECT_EQ(vos.stats().bytes_loaded.value(), 512u);
+  EXPECT_EQ(vos.stats().bytes_verified.value(), 0u);
 }
 
 TEST_F(VosTest, EmptyUpdateRejected) {
