@@ -9,9 +9,6 @@
 #   scripts/bench.sh                       # quick mode (default, ~10 s)
 #   scripts/bench.sh --quick               # same, explicit
 #   scripts/bench.sh --full                # paper-scale op budgets
-#   scripts/bench.sh --system-benchmark    # micro bench vs system library
-#                                          # (uses build-sysbench/ unless
-#                                          # BUILD_DIR is set explicitly)
 #   scripts/bench.sh --diff <baseline>     # also diff against a baseline
 #   scripts/bench.sh --tolerance 0.25      # diff tolerance (relative)
 #   scripts/bench.sh --no-experiments-md   # never rewrite EXPERIMENTS.md
@@ -27,16 +24,19 @@
 #
 # Artifacts land in <build>/bench-out/: one .json + .txt per bench binary
 # plus the merged BENCH_quick.json (or BENCH_full.json). Model numbers are
-# deterministic; bench_micro_transport sections are wall-clock and vary by
-# machine (benchctl diff skips them by default).
+# deterministic; realtime-tagged reports (bench_micro_sim, bench_micro_rpc,
+# ...) are wall-clock and vary by machine (benchctl diff skips them by
+# default).
+#
+# Every bench runs even when an earlier one fails its checks; the merge
+# (and diff) still happen, then the script exits 1 naming the failed
+# benches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-BUILD_DIR_WAS_SET="${BUILD_DIR:+1}"
 BUILD_DIR="${BUILD_DIR:-build}"
 MODE=quick
-CMAKE_ARGS=()
 DIFF_BASELINE=""
 TOLERANCE=0.25
 WRITE_BASELINE=0
@@ -49,13 +49,6 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     --quick) MODE=quick ;;
     --full) MODE=full ;;
-    --system-benchmark)
-      CMAKE_ARGS+=(-DROS2_USE_SYSTEM_BENCHMARK=ON)
-      # Keep the system-library configure out of the default (vendored)
-      # build dir's CMake cache — unless the caller pinned BUILD_DIR
-      # (scripts/ci.sh does, with its own suffix scheme).
-      [[ -z "$BUILD_DIR_WAS_SET" ]] && BUILD_DIR="build-sysbench"
-      ;;
     --diff)
       shift
       [[ $# -gt 0 ]] || { echo "--diff needs a baseline path" >&2; exit 2; }
@@ -91,14 +84,14 @@ fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
+cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 OUT_DIR="$BUILD_DIR/bench-out"
 mkdir -p "$OUT_DIR"
 
-# Canonical order: figures, table, ablations, then the real-time micro
-# bench — this is the section order of the regenerated EXPERIMENTS.md.
+# Canonical order: figures, table, ablations, then the micro benches —
+# this is the section order of the regenerated EXPERIMENTS.md.
 MODEL_BENCHES=(
   bench_fig1_workloads
   bench_fig3_local_fio
@@ -123,23 +116,15 @@ MODEL_BENCHES=(
 QUICK_FLAG=""
 [[ "$MODE" == quick ]] && QUICK_FLAG="--quick"
 
+# A bench that fails a check still writes its JSON; keep going so one
+# host-sensitive gate does not hide the rest of the run.
+FAILED_BENCHES=()
 for bench in "${MODEL_BENCHES[@]}"; do
   echo "== running $bench ($MODE) =="
   "$BUILD_DIR/bench/$bench" $QUICK_FLAG \
-      --json="$OUT_DIR/$bench.json" > "$OUT_DIR/$bench.txt"
+      --json="$OUT_DIR/$bench.json" > "$OUT_DIR/$bench.txt" ||
+      FAILED_BENCHES+=("$bench")
 done
-
-# bench_micro_transport measures real CPU time; quick mode just shortens
-# the per-benchmark measurement window. Plain seconds (no "s" suffix):
-# google-benchmark < 1.8 rejects suffixed values, >= 1.8 and the vendored
-# shim accept both.
-MICRO_MIN_TIME="0.5"
-[[ "$MODE" == quick ]] && MICRO_MIN_TIME="0.02"
-echo "== running bench_micro_transport ($MODE, min_time=$MICRO_MIN_TIME) =="
-"$BUILD_DIR/bench/bench_micro_transport" \
-    "--benchmark_min_time=$MICRO_MIN_TIME" \
-    "--benchmark_out=$OUT_DIR/bench_micro_transport.json" \
-    --benchmark_out_format=json > "$OUT_DIR/bench_micro_transport.txt"
 
 # The one list of merge inputs: the aggregate and the committed baseline
 # must always be built from the same reports.
@@ -147,21 +132,31 @@ MERGE_INPUTS=()
 for bench in "${MODEL_BENCHES[@]}"; do
   MERGE_INPUTS+=("$OUT_DIR/$bench.json")
 done
-MERGE_INPUTS+=("$OUT_DIR/bench_micro_transport.json")
 
 AGGREGATE="$OUT_DIR/BENCH_${MODE}.json"
 MERGE_ARGS=(merge "--out=$AGGREGATE")
 if [[ "$WRITE_EXPERIMENTS_MD" == 1 ]]; then
   MERGE_ARGS+=("--experiments-md=EXPERIMENTS.md")
 fi
-"$BUILD_DIR/src/bench/ros2_benchctl" "${MERGE_ARGS[@]}" "${MERGE_INPUTS[@]}"
+# Exit 1 = some merged report failed a check: already counted above (the
+# bench exited non-zero), so carry on to the diff. Anything else (a bench
+# wrote no JSON, an unwritable output) leaves nothing to diff.
+MERGE_STATUS=0
+"$BUILD_DIR/src/bench/ros2_benchctl" "${MERGE_ARGS[@]}" "${MERGE_INPUTS[@]}" ||
+    MERGE_STATUS=$?
+if [[ "$MERGE_STATUS" -gt 1 ]]; then
+  echo "merge failed (exit $MERGE_STATUS); failed benches:" \
+       "${FAILED_BENCHES[*]:-none}" >&2
+  exit "$MERGE_STATUS"
+fi
 echo "aggregate: $AGGREGATE"
 [[ "$WRITE_EXPERIMENTS_MD" == 1 ]] && echo "regenerated: EXPERIMENTS.md"
 
 # The diff runs BEFORE any baseline refresh, so `--write-baseline --diff
 # bench/BENCH_baseline.json` compares against the PREVIOUS committed
-# baseline (and, under set -e, a regression blocks the refresh) instead of
-# vacuously diffing the run against itself.
+# baseline (and a regression blocks the refresh) instead of vacuously
+# diffing the run against itself.
+DIFF_OK=1
 if [[ -n "$DIFF_BASELINE" ]]; then
   # A baseline that IS the fresh aggregate would diff the file against
   # itself and always pass; save a copy of a previous run's aggregate
@@ -172,13 +167,23 @@ if [[ -n "$DIFF_BASELINE" ]]; then
     exit 2
   fi
   "$BUILD_DIR/src/bench/ros2_benchctl" diff \
-      "--tolerance=$TOLERANCE" "$DIFF_BASELINE" "$AGGREGATE"
+      "--tolerance=$TOLERANCE" "$DIFF_BASELINE" "$AGGREGATE" || DIFF_OK=0
 fi
 
-if [[ "$WRITE_BASELINE" == 1 ]]; then
+# A failed bench or a regression blocks the baseline refresh.
+if [[ "$WRITE_BASELINE" == 1 && ${#FAILED_BENCHES[@]} == 0 &&
+      "$MERGE_STATUS" == 0 && "$DIFF_OK" == 1 ]]; then
   # The committed regression baseline: same inputs, wall-clock (realtime)
-  # reports/metrics stripped so the file is byte-stable across machines.
+  # reports stripped so the file is byte-stable across machines.
   "$BUILD_DIR/src/bench/ros2_benchctl" merge \
       "--out=bench/BENCH_baseline.json" --strip-realtime "${MERGE_INPUTS[@]}"
   echo "baseline: bench/BENCH_baseline.json"
+fi
+
+if [[ ${#FAILED_BENCHES[@]} -gt 0 ]]; then
+  echo "FAILED benches (non-zero exit): ${FAILED_BENCHES[*]}" >&2
+  exit 1
+fi
+if [[ "$MERGE_STATUS" != 0 || "$DIFF_OK" != 1 ]]; then
+  exit 1
 fi

@@ -9,10 +9,8 @@
 # the build.
 #
 # Usage:
-#   scripts/ci.sh                     # vendored minigtest + minibenchmark
+#   scripts/ci.sh                     # vendored minigtest
 #   scripts/ci.sh --system-gtest      # suite against installed GoogleTest
-#   scripts/ci.sh --system-benchmark  # micro bench against installed
-#                                     # google-benchmark
 #   scripts/ci.sh --no-bench          # skip the bench smoke stage and
 #                                     # the e2ebench self-checks
 #   scripts/ci.sh --no-tsan           # skip the ThreadSanitizer stage
@@ -28,7 +26,6 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 CMAKE_ARGS=(-DROS2_WERROR=ON)
-BENCH_ARGS=()
 RUN_BENCH=1
 RUN_TSAN=1
 RUN_ASAN=1
@@ -39,13 +36,6 @@ for arg in "$@"; do
     --system-gtest)
       CMAKE_ARGS+=(-DROS2_USE_SYSTEM_GTEST=ON)
       BUILD_DIR="${BUILD_DIR}-sysgtest"
-      ;;
-    --system-benchmark)
-      CMAKE_ARGS+=(-DROS2_USE_SYSTEM_BENCHMARK=ON)
-      BENCH_ARGS+=(--system-benchmark)
-      # Own build dir, like --system-gtest: otherwise the ON value would
-      # stick in the default dir's CMake cache and poison later plain runs.
-      BUILD_DIR="${BUILD_DIR}-sysbench"
       ;;
     --no-bench)
       RUN_BENCH=0
@@ -158,7 +148,7 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # EXPERIMENTS.md is left untouched here — regenerating it is a deliberate
   # local act (scripts/bench.sh) whose diff rides the PR that changed perf.
   BUILD_DIR="$BUILD_DIR" scripts/bench.sh --quick --no-experiments-md \
-      --diff bench/BENCH_baseline.json "${BENCH_ARGS[@]}"
+      --diff bench/BENCH_baseline.json
   # End-to-end benchmark self-checks (e2ebench/): builds the benchmark
   # binary against the current tree and runs every workload briefly,
   # verifying every byte read back. A client API change that breaks the

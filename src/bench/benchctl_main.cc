@@ -5,27 +5,22 @@
 //   ros2_benchctl diff [--tolerance=0.25] [--include-realtime]
 //                       <baseline.json> <current.json>
 //
-// merge understands two input shapes:
-//   * ros2-bench-report-v1 (what the fig/ablation binaries emit via
-//     BenchReport) — embedded as-is; a report-level "realtime": true
-//     (e.g. bench_micro_sim) marks the whole report wall-clock-derived;
-//   * google-benchmark JSON (bench_micro_transport under either the
-//     vendored minibenchmark or a system libbenchmark: an object with a
-//     "benchmarks" array) — normalized into a synthetic report whose
-//     metrics are tagged "realtime": true, since wall-clock numbers are
-//     machine-dependent.
-// --strip-realtime drops realtime-tagged reports/metrics from the written
-// aggregate — that is how the committed bench/BENCH_baseline.json is
-// produced (wall-clock values would churn on every host).
+// merge embeds ros2-bench-report-v1 documents (what every bench binary
+// emits via BenchReport) as-is and rejects any other input. A report-level
+// "realtime": true (bench_micro_sim, bench_micro_rpc, ...) marks the whole
+// report wall-clock-derived. --strip-realtime drops realtime-tagged
+// reports from the written aggregate — that is how the committed
+// bench/BENCH_baseline.json is produced (wall-clock values would churn on
+// every host).
 //
 // diff compares metric values between two aggregates with a relative
-// tolerance. Realtime-tagged metrics are skipped unless --include-realtime
-// (model metrics are bit-deterministic; wall-clock ones are not). A metric
-// annotated "direction": "higher"/"lower" fails only when it drifts the
-// bad way beyond tolerance — improvements pass; un-annotated metrics fail
-// on any drift. A check that passed in the baseline but fails in the
-// current run always fails the diff. Exit: 0 clean, 1 regressions, 2
-// usage/IO errors.
+// tolerance. Metrics of realtime-tagged reports are skipped unless
+// --include-realtime (model metrics are bit-deterministic; wall-clock
+// ones are not). A metric annotated "direction": "higher"/"lower" fails
+// only when it drifts the bad way beyond tolerance — improvements pass;
+// un-annotated metrics fail on any drift. A check that passed in the
+// baseline but fails in the current run always fails the diff. Exit: 0
+// clean, 1 regressions, 2 usage/IO errors.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -37,7 +32,6 @@
 #include "bench/json.h"
 #include "bench/report.h"
 #include "common/table.h"
-#include "common/units.h"
 
 namespace {
 
@@ -53,125 +47,16 @@ ros2::Result<Json> LoadJsonFile(const std::string& path) {
   return Json::Parse(buffer.str());
 }
 
-std::string FileStem(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  return dot == std::string::npos ? name : name.substr(0, dot);
-}
-
 bool IsBenchReport(const Json& doc) {
   const Json* schema = doc.Find("schema");
   return schema != nullptr && schema->AsString() == "ros2-bench-report-v1";
 }
 
-bool IsGoogleBenchmark(const Json& doc) {
-  const Json* benchmarks = doc.Find("benchmarks");
-  return benchmarks != nullptr && benchmarks->is_array();
-}
-
-/// Lifts a google-benchmark JSON document into a ros2-bench-report-v1
-/// report: one experiment, one rendered table, realtime-tagged metrics.
-Json NormalizeGoogleBenchmark(const Json& doc, const std::string& binary) {
-  Json report = Json::Object();
-  report["schema"] = "ros2-bench-report-v1";
-  report["binary"] = binary;
-  report["quick"] = false;
-  // Wall-clock numbers churn on every host; the report-level tag keeps the
-  // whole section out of the regenerated EXPERIMENTS.md baseline.
-  report["realtime"] = true;
-  Json experiment = Json::Object();
-  experiment["name"] = binary;
-  std::string library = "google-benchmark";
-  if (const Json* context = doc.Find("context")) {
-    if (const Json* lib = context->Find("library")) {
-      library = lib->AsString();
-    }
-  }
-  experiment["description"] =
-      "Real-time microbenchmarks (" + library + " harness)";
-  experiment["notes"] = Json::Array();
-
-  AsciiTable table({"benchmark", "time", "cpu", "iterations", "bytes/s"});
-  Json metrics = Json::Array();
-  Json checks = Json::Array();
-  const Json* benchmarks = doc.Find("benchmarks");
-  for (const auto& entry : benchmarks->elements()) {
-    const Json* name = entry.Find("name");
-    if (name == nullptr) continue;
-    // SkipWithError / error_occurred entries must not pass silently: lift
-    // them into failing checks so the merge (and any diff) fails.
-    if (const Json* error = entry.Find("error_occurred")) {
-      if (error->AsBool()) {
-        const Json* message = entry.Find("error_message");
-        Json check = Json::Object();
-        check["name"] =
-            name->AsString() + " errored" +
-            (message != nullptr ? ": " + message->AsString() : "");
-        check["pass"] = false;
-        checks.Append(std::move(check));
-        continue;
-      }
-    }
-    const std::string unit =
-        entry.Find("time_unit") != nullptr ? entry.Find("time_unit")->AsString()
-                                           : "ns";
-    const double real_time =
-        entry.Find("real_time") != nullptr ? entry.Find("real_time")->AsNumber()
-                                           : 0.0;
-    const double cpu_time =
-        entry.Find("cpu_time") != nullptr ? entry.Find("cpu_time")->AsNumber()
-                                          : 0.0;
-    const double iterations =
-        entry.Find("iterations") != nullptr
-            ? entry.Find("iterations")->AsNumber()
-            : 0.0;
-    const Json* bytes_per_second = entry.Find("bytes_per_second");
-
-    char time_cell[48];
-    std::snprintf(time_cell, sizeof(time_cell), "%.1f %s", real_time,
-                  unit.c_str());
-    char cpu_cell[48];
-    std::snprintf(cpu_cell, sizeof(cpu_cell), "%.1f %s", cpu_time,
-                  unit.c_str());
-    table.AddRow({name->AsString(), time_cell, cpu_cell,
-                  std::to_string(std::int64_t(iterations)),
-                  bytes_per_second != nullptr
-                      ? ros2::FormatBandwidth(bytes_per_second->AsNumber())
-                      : "-"});
-
-    Json metric = Json::Object();
-    metric["metric"] = name->AsString() + "/real_time";
-    metric["unit"] = unit;
-    metric["value"] = real_time;
-    metric["params"] = Json::Object();
-    metric["realtime"] = true;
-    metric["direction"] = "lower";
-    metrics.Append(std::move(metric));
-    if (bytes_per_second != nullptr) {
-      Json rate = Json::Object();
-      rate["metric"] = name->AsString() + "/bytes_per_second";
-      rate["unit"] = "bytes_per_sec";
-      rate["value"] = bytes_per_second->AsNumber();
-      rate["params"] = Json::Object();
-      rate["realtime"] = true;
-      rate["direction"] = "higher";
-      metrics.Append(std::move(rate));
-    }
-  }
-  experiment["checks"] = std::move(checks);
-  Json tables = Json::Array();
-  Json table_entry = Json::Object();
-  table_entry["title"] = "Real-time microbenchmarks";
-  table_entry["text"] = table.Render();
-  tables.Append(std::move(table_entry));
-  experiment["tables"] = std::move(tables);
-  experiment["metrics"] = std::move(metrics);
-  Json experiments = Json::Array();
-  experiments.Append(std::move(experiment));
-  report["experiments"] = std::move(experiments);
-  return report;
+/// True for a realtime-tagged report: its metrics are wall-clock-derived,
+/// so merge --strip-realtime drops it and diff skips its metrics.
+bool IsRealtime(const Json& report) {
+  const Json* realtime = report.Find("realtime");
+  return realtime != nullptr && realtime->AsBool();
 }
 
 // Flattened views shared by merge (failed-check scan) and diff.
@@ -195,13 +80,7 @@ void CollectEntries(const Json& aggregate, std::vector<MetricEntry>* metrics,
     const Json* binary = report.Find("binary");
     const std::string binary_name =
         binary != nullptr ? binary->AsString() : "?";
-    // A report-level realtime tag (bench_micro_sim) covers every metric in
-    // the report — per-metric tags are not required to keep wall-clock
-    // values out of the default diff.
-    bool report_realtime = false;
-    if (const Json* realtime = report.Find("realtime")) {
-      report_realtime = realtime->AsBool();
-    }
+    const bool report_realtime = IsRealtime(report);
     const Json* experiments = report.Find("experiments");
     if (experiments == nullptr) continue;
     for (const auto& experiment : experiments->elements()) {
@@ -227,9 +106,6 @@ void CollectEntries(const Json& aggregate, std::vector<MetricEntry>* metrics,
             entry.value = value->AsNumber();
           }
           entry.realtime = report_realtime;
-          if (const Json* realtime = metric.Find("realtime")) {
-            entry.realtime = entry.realtime || realtime->AsBool();
-          }
           if (const Json* direction = metric.Find("direction")) {
             if (direction->AsString() == "higher") entry.direction = 1;
             if (direction->AsString() == "lower") entry.direction = -1;
@@ -248,43 +124,6 @@ void CollectEntries(const Json& aggregate, std::vector<MetricEntry>* metrics,
       }
     }
   }
-}
-
-/// Deep-copies a report with realtime-tagged metrics removed (for the
-/// committed baseline aggregate). Returns false — drop the whole report —
-/// when the report itself is realtime-tagged.
-bool StripRealtime(const Json& report, Json* stripped) {
-  if (const Json* realtime = report.Find("realtime")) {
-    if (realtime->AsBool()) return false;
-  }
-  Json out = Json::Object();
-  for (const auto& [key, value] : report.members()) {
-    if (key != "experiments") {
-      out[key] = value;
-      continue;
-    }
-    Json experiments = Json::Array();
-    for (const auto& experiment : value.elements()) {
-      Json e = Json::Object();
-      for (const auto& [ekey, evalue] : experiment.members()) {
-        if (ekey != "metrics") {
-          e[ekey] = evalue;
-          continue;
-        }
-        Json metrics = Json::Array();
-        for (const auto& metric : evalue.elements()) {
-          const Json* tag = metric.Find("realtime");
-          if (tag != nullptr && tag->AsBool()) continue;
-          metrics.Append(metric);
-        }
-        e["metrics"] = std::move(metrics);
-      }
-      experiments.Append(std::move(e));
-    }
-    out["experiments"] = std::move(experiments);
-  }
-  *stripped = std::move(out);
-  return true;
 }
 
 int RunMerge(const std::vector<std::string>& args) {
@@ -325,27 +164,18 @@ int RunMerge(const std::vector<std::string>& args) {
                    doc.status().ToString().c_str());
       return 2;
     }
-    Json report;
-    if (IsBenchReport(*doc)) {
-      report = std::move(*doc);
-    } else if (IsGoogleBenchmark(*doc)) {
-      report = NormalizeGoogleBenchmark(*doc, FileStem(input));
-    } else {
+    if (!IsBenchReport(*doc)) {
       std::fprintf(stderr,
-                   "benchctl merge: %s: neither a ros2-bench-report-v1 nor "
-                   "a google-benchmark JSON document\n",
+                   "benchctl merge: %s: not a ros2-bench-report-v1 "
+                   "document\n",
                    input.c_str());
       return 2;
     }
-    if (const Json* quick = report.Find("quick")) {
+    if (const Json* quick = doc->Find("quick")) {
       any_quick = any_quick || quick->AsBool();
     }
-    if (strip_realtime) {
-      Json stripped;
-      if (!StripRealtime(report, &stripped)) continue;
-      report = std::move(stripped);
-    }
-    reports.Append(std::move(report));
+    if (strip_realtime && IsRealtime(*doc)) continue;
+    reports.Append(std::move(*doc));
   }
   aggregate["quick"] = any_quick;
   aggregate["reports"] = std::move(reports);
@@ -385,13 +215,11 @@ int RunMerge(const std::vector<std::string>& args) {
     for (const auto& report : merged->elements()) {
       // Wall-clock sections would churn the committed baseline on every
       // host; they live in the JSON aggregate only.
-      if (const Json* realtime = report.Find("realtime")) {
-        if (realtime->AsBool()) {
-          const Json* binary = report.Find("binary");
-          realtime_skipped.push_back(
-              binary != nullptr ? binary->AsString() : "?");
-          continue;
-        }
+      if (IsRealtime(report)) {
+        const Json* binary = report.Find("binary");
+        realtime_skipped.push_back(binary != nullptr ? binary->AsString()
+                                                     : "?");
+        continue;
       }
       file << "\n" << RenderReportMarkdown(report);
     }
@@ -416,8 +244,8 @@ int RunMerge(const std::vector<std::string>& args) {
               aggregate.Find("reports")->size(), out_path.c_str());
 
   // Mirror the bench binaries' exit contract: a failed functional check in
-  // any merged report (e.g. a SkipWithError'd google-benchmark entry)
-  // fails the merge, so the CI bench smoke stage catches it.
+  // any merged report fails the merge, so the CI bench smoke stage
+  // catches it.
   std::vector<MetricEntry> merged_metrics;
   std::vector<CheckEntry> merged_checks;
   CollectEntries(aggregate, &merged_metrics, &merged_checks);

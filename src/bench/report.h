@@ -42,8 +42,8 @@ class BenchReport {
       : binary_(std::move(binary)), quick_(quick) {}
 
   /// Tags the whole report as wall-clock-derived: benchctl keeps it out of
-  /// the regenerated EXPERIMENTS.md and its metrics out of the default
-  /// diff, exactly like normalized google-benchmark output.
+  /// the regenerated EXPERIMENTS.md and the committed baseline, and its
+  /// metrics out of the default diff.
   void MarkRealtime() { realtime_ = true; }
   bool realtime() const { return realtime_; }
 

@@ -1,11 +1,11 @@
 // Non-owning callable reference (the C++26 std::function_ref shape).
 //
-// The simulation hot loop invokes its planner once per op; std::function
-// there means a heap-backed callable and an un-inlinable dispatch per op.
+// A hot loop that invokes a callback per item (PollSet::Drain hands every
+// ready QP to one) should not pay std::function's heap-backed callable.
 // FunctionRef is two words (object pointer + trampoline), never allocates,
 // and binds to any callable — lambdas with captures included. The referenced
 // callable must outlive the FunctionRef; pass it only DOWN the stack (as
-// sim::RunClosedLoop does), never store it.
+// PollSet::Drain does), never store it.
 #pragma once
 
 #include <memory>

@@ -48,10 +48,18 @@ Result<Vos::ValueLoc> Vos::Store(std::span<const std::byte> data) {
     const std::uint64_t padded = (data.size() + lba - 1) / lba * lba;
     ROS2_ASSIGN_OR_RETURN(loc.nvme_offset, nvme_alloc_.Alloc(padded));
     loc.length = padded;
-    // Pad the tail block; the logical length masks the padding on load.
-    Buffer staged(padded);
-    std::memcpy(staged.data(), data.data(), data.size());
-    ROS2_RETURN_IF_ERROR(nvme_->Write(loc.nvme_offset, staged));
+    // Whole blocks go straight from the caller's span; only a partial tail
+    // block is staged, zero-padded (the logical length masks the padding on
+    // load).
+    const std::uint64_t whole = data.size() / lba * lba;
+    if (whole > 0) {
+      ROS2_RETURN_IF_ERROR(nvme_->Write(loc.nvme_offset, data.first(whole)));
+    }
+    if (whole < padded) {
+      Buffer tail(lba);
+      std::memcpy(tail.data(), data.data() + whole, data.size() - whole);
+      ROS2_RETURN_IF_ERROR(nvme_->Write(loc.nvme_offset + whole, tail));
+    }
     ++stats_.nvme_records;
     stats_.bytes_in_nvme += padded;
   }

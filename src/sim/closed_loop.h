@@ -4,15 +4,14 @@
 // (numjobs x iodepth), each keeping exactly one operation in flight. When an
 // op completes the context immediately issues the next one. The driver is an
 // activity-scanning DES: a min-heap orders contexts by their next issue
-// time; each pop plans one op (via the OpSource callback), walks it through
+// time; each pop plans one op (via the caller's planner), walks it through
 // its stages, and reschedules the context at the op's completion time.
 //
 // The hot loop is allocation-free and O(contexts) in memory:
 //   * plans use fixed-capacity inline stage storage and the engine hands
 //     the SAME plan object (cleared) to the planner for every op;
-//   * the planner is either a template parameter (models call the inline
-//     engine directly, so planning fuses into the loop) or a non-owning
-//     FunctionRef (the type-erased overload in closed_loop.cc);
+//   * the planner is a template parameter: every caller passes a lambda
+//     to the inline engine, so planning fuses into the loop;
 //   * steady-state statistics stream through an O(1)-state accumulator
 //     instead of buffering one completion record per op and sorting;
 //   * the context heap is a flat replace-top binary heap: one sift-down
@@ -24,7 +23,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/function_ref.h"
 #include "common/histogram.h"
 #include "sim/resource.h"
 
@@ -78,14 +76,6 @@ struct OpPlan {
     bytes = 0;
   }
 };
-
-/// Non-owning callback that plans op number `op_index` for context
-/// `context_id` into `plan` (handed over cleared; fill, don't Clear).
-/// Called exactly once per issued op, in issue-time order. The engine owns
-/// the plan object and reuses it across ops, so implementations must not
-/// keep pointers into it across calls.
-using OpSource = FunctionRef<void(std::uint32_t context_id,
-                                  std::uint64_t op_index, OpPlan& plan)>;
 
 struct ClosedLoopConfig {
   /// Number of one-deep closed-loop contexts (numjobs * iodepth).
@@ -287,9 +277,14 @@ class SteadyStateAccumulator {
 
 /// Runs the closed loop to completion. Resources referenced by plans must
 /// have been Reset() by the caller if reused across runs. `source` is any
-/// callable with the OpSource shape; it is invoked only during this call
-/// (safe to pass a temporary lambda). Defined inline so a caller's planner
-/// fuses into the engine loop — the perf models call this directly.
+/// callable `void(std::uint32_t context_id, std::uint64_t op_index,
+/// OpPlan& plan)` that plans op number `op_index` for context `context_id`
+/// into `plan` (handed over cleared; fill, don't Clear). It is called
+/// exactly once per issued op, in issue-time order, and only during this
+/// call (safe to pass a temporary lambda). The engine owns the plan object
+/// and reuses it across ops, so a planner must not keep pointers into it
+/// across calls. Defined inline so a caller's planner fuses into the
+/// engine loop — the perf models call this directly.
 template <typename Source>
 ClosedLoopResult RunClosedLoop(const ClosedLoopConfig& config,
                                Source&& source) {
@@ -360,10 +355,5 @@ ClosedLoopResult RunClosedLoop(const ClosedLoopConfig& config,
   stats.Finish(&result);
   return result;
 }
-
-/// Type-erased entry point for callers that hold an OpSource (or want one
-/// engine instantiation shared across many planner types).
-ClosedLoopResult RunClosedLoop(const ClosedLoopConfig& config,
-                               OpSource source);
 
 }  // namespace ros2::sim

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "common/bytes.h"
 #include "common/units.h"
 
@@ -117,11 +120,22 @@ TEST_F(VosTest, LargeRecordsLandOnNvme) {
 }
 
 TEST_F(VosTest, UnalignedLargeRecordPaddedTransparently) {
-  Buffer large = MakePatternBuffer((1 << 20) + 777, 3);
-  ASSERT_TRUE(vos_->UpdateArray(oid_, "dk", "ak", 1, 0, large).ok());
-  Buffer out(large.size());
-  ASSERT_TRUE(vos_->FetchArray(oid_, "dk", "ak", kEpochHead, 0, out).ok());
-  EXPECT_EQ(out, large);
+  // An LBA-exact record (written straight from the caller's span) and one
+  // whose partial tail block is staged and zero-padded.
+  const std::uint64_t lba = bdev_->block_size();
+  std::uint64_t padded = 0;
+  for (const std::uint64_t size : {std::uint64_t{1} << 20,
+                                   (std::uint64_t{1} << 20) + 777}) {
+    const std::string dkey = "dk" + std::to_string(size);
+    Buffer large = MakePatternBuffer(size, 3);
+    ASSERT_TRUE(vos_->UpdateArray(oid_, dkey, "ak", 1, 0, large).ok());
+    Buffer out(large.size());
+    ASSERT_TRUE(vos_->FetchArray(oid_, dkey, "ak", kEpochHead, 0, out).ok());
+    EXPECT_EQ(out, large) << size;
+    padded += (size + lba - 1) / lba * lba;
+    EXPECT_EQ(vos_->stats().bytes_in_nvme, padded) << size;
+  }
+  EXPECT_EQ(device_->bytes_written(), padded);
 }
 
 TEST_F(VosTest, ChecksumDetectsScmCorruption) {
