@@ -120,7 +120,6 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
     options.client_address = "fabric://rebuild-bench-" + name;
     options.replicas = kReplicas;
     options.pool_map = &map;
-    options.progress_pump = false;
     auto client = daos::DaosClient::Connect(&fabric, raw_engines, options);
     ctx.Check("client '" + name + "' connected", client.ok());
     return client.ok() ? std::move(*client) : nullptr;
@@ -215,7 +214,6 @@ ROS2_BENCH_EXPERIMENT(micro_rebuild,
   daos::RebuildManager::Options ropts;
   ropts.address = "fabric://rebuild-bench-mgr";
   ropts.replicas = kReplicas;
-  ropts.progress_pump = false;
   auto mgr = daos::RebuildManager::Create(&fabric, raw_engines, &map, ropts);
   ctx.Check("rebuild manager connected", mgr.ok());
   if (!mgr.ok()) {

@@ -92,8 +92,11 @@ if [[ "$RUN_MAIN" == 1 ]]; then
   # Telemetry smoke: boot a demo engine, drive a workload, and validate the
   # end-to-end wiring (non-zero per-opcode latency histograms, per-target
   # queue-depth gauges) over the kTelemetryQuery RPC. --check exits 1 on
-  # any missing metric.
+  # any missing metric. Run once per scheduler executor: worker threads
+  # (the default demo) and the inline round-robin pass (--serial).
   "$BUILD_DIR/src/telemetry/ros2_telemetryctl" dump --check > /dev/null
+  "$BUILD_DIR/src/telemetry/ros2_telemetryctl" dump --serial --check \
+      > /dev/null
   # Self-healing smoke: 3 engines, kill one mid-workload, degrade, rebuild,
   # resync. --check additionally gates the rebuild/<victim>/* counters,
   # progress == 100, pool-map transitions, and a fully drained journal.

@@ -63,27 +63,9 @@ Result<std::unique_ptr<DaosClient>> DaosClient::Connect(
   }
 
   for (DaosEngine* engine : engines) {
-    if (engine == nullptr || engine->endpoint() == nullptr) {
-      return Status(InvalidArgument("engine has no endpoint"));
-    }
-    ROS2_ASSIGN_OR_RETURN(
-        net::Qp * qp, client_ep->Connect(engine->endpoint(),
-                                         options.transport, pd,
-                                         engine->pd()));
     EngineConn conn;
-    // The pump is the engine's full progress tick (poll-set drain +
-    // xstream run queues), not a per-QP poke: one pump services every
-    // client of the engine and completes deferred requests — the fairness
-    // property multi-QP tests pin. Pumpless clients (progress_pump ==
-    // false) rely on the engines' own progress threads instead — the
-    // poll-set drain is single-consumer, so concurrent clients must not
-    // pump it themselves.
-    conn.rpc = std::make_unique<rpc::RpcClient>(
-        qp, client_ep,
-        options.progress_pump
-            ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
-            : std::function<void()>());
-    if (!options.progress_pump) conn.rpc->set_stall_timeout_ms(10000.0);
+    ROS2_ASSIGN_OR_RETURN(conn.rpc, DialEngine(client_ep, engine,
+                                               options.transport, pd));
     client->engines_.push_back(std::move(conn));
   }
 

@@ -65,14 +65,12 @@ class DaosClient {
     /// client and have engine_count == engines. nullptr: the client owns
     /// a private map.
     PoolMap* pool_map = nullptr;
-    /// False: the client's RPC connections get no progress hook — every
-    /// engine must run its own progress thread (StartProgressThread).
-    /// Required when several client threads share an engine: the engine
-    /// poll set is single-consumer, so concurrent pumps would race.
-    bool progress_pump = true;
   };
 
   /// Dials the engine, performs PoolConnect (auth), returns a live client.
+  /// Each connection pumps its engine unless that engine's progress
+  /// thread already runs (DialEngine): start the thread before connecting
+  /// clients that run on several threads at once.
   static Result<std::unique_ptr<DaosClient>> Connect(
       net::Fabric* fabric, DaosEngine* engine, const ConnectOptions& options);
 

@@ -73,7 +73,6 @@ DaosEngine::DaosEngine(net::Fabric* fabric, EngineConfig config,
       config_(std::move(config)),
       scheduler_(config_.targets,
                  EngineSchedulerOptions{config_.xstream_workers,
-                                        config_.xstream_queue_depth,
                                         /*time_ops=*/config_.telemetry}),
       telemetry_(/*default_shards=*/config_.targets + 1),
       updates_(config_.targets),
@@ -88,11 +87,9 @@ DaosEngine::DaosEngine(net::Fabric* fabric, EngineConfig config,
   // Every QP this endpoint accepts reports into the engine's poll set, so
   // one ProgressAll tick services all connections without per-QP scans.
   endpoint_->set_accept_poll_set(&poll_set_);
-  if (scheduler_.threaded()) {
-    // Worker-finished replies must wake a progress thread blocked in
-    // DrainWait: ring the poll set's doorbell from the completion push.
-    scheduler_.set_completion_wakeup([this] { poll_set_.Ring(); });
-  }
+  // Worker-finished replies must wake a progress thread blocked in
+  // DrainWait: ring the poll set's doorbell from the completion push.
+  scheduler_.set_completion_wakeup([this] { poll_set_.Ring(); });
 
   // Partition each device among the targets assigned to it.
   const std::uint32_t n = config_.targets;
@@ -140,27 +137,12 @@ DaosEngine::~DaosEngine() {
 
 Status DaosEngine::ProgressAll() {
   // Decode + dispatch everything that arrived (inline handlers reply
-  // here; data ops park on their target's xstream), then complete the
-  // deferred contexts: serial mode runs the queues dry (round-robin
-  // target order, same-dkey FIFO); threaded mode waits for the workers
-  // to finish what this tick dispatched and sends their replies, so the
-  // synchronous-pump contract (reply ready when ProgressAll returns)
-  // holds in both modes.
+  // here; data ops park on their target's xstream), then the scheduler
+  // barrier: every deferred op executes and its reply is sent before this
+  // returns (the synchronous-pump contract), whichever executor runs it.
   Status s = server_.Progress(&poll_set_);
-  if (scheduler_.threaded()) {
-    scheduler_.Quiesce();
-  } else {
-    scheduler_.ProgressAll();
-  }
+  scheduler_.Quiesce();
   return s;
-}
-
-void DaosEngine::DrainBarrier() {
-  if (scheduler_.threaded()) {
-    scheduler_.Quiesce();
-  } else {
-    scheduler_.ProgressAll();
-  }
 }
 
 void DaosEngine::ProgressThreadMain() {
@@ -185,7 +167,7 @@ void DaosEngine::ProgressThreadMain() {
   // Final sweep: everything decoded before stop was requested still gets
   // its reply (tests rely on a clean drain, not dropped contexts).
   (void)server_.Progress(&poll_set_);
-  DrainBarrier();
+  scheduler_.Quiesce();
   // Publish the totals as of thread exit so a post-mortem dump (after
   // Stop(), when live queries are no longer pumped) is not all-zero.
   PublishSnapshot();
@@ -195,6 +177,7 @@ void DaosEngine::StartProgressThread() {
   if (progress_thread_.joinable()) return;
   progress_stop_.store(false, std::memory_order_release);
   progress_thread_ = std::thread([this] { ProgressThreadMain(); });
+  progress_running_.store(true, std::memory_order_release);
 }
 
 void DaosEngine::StopProgressThread() {
@@ -202,21 +185,37 @@ void DaosEngine::StopProgressThread() {
   progress_stop_.store(true, std::memory_order_release);
   poll_set_.Ring();  // kick it out of DrainWait immediately
   progress_thread_.join();
+  progress_running_.store(false, std::memory_order_release);
 }
 
 Vos* DaosEngine::target_vos(std::uint32_t target) {
   return target < targets_.size() ? targets_[target].vos.get() : nullptr;
 }
 
-EngineStats DaosEngine::stats() const {
-  // A view over the telemetry counters — same objects the metric tree
-  // links, folded here instead of maintained twice.
-  EngineStats s;
-  s.updates = updates_.value();
-  s.fetches = fetches_.value();
-  s.bulk_bytes_in = server_.bulk_bytes_in();
-  s.bulk_bytes_out = server_.bulk_bytes_out();
-  return s;
+Result<std::unique_ptr<rpc::RpcClient>> DialEngine(net::Endpoint* local,
+                                                   DaosEngine* engine,
+                                                   net::Transport transport,
+                                                   net::PdId pd) {
+  if (engine == nullptr || engine->endpoint() == nullptr) {
+    return Status(InvalidArgument("engine has no endpoint"));
+  }
+  ROS2_ASSIGN_OR_RETURN(
+      net::Qp * qp,
+      local->Connect(engine->endpoint(), transport, pd, engine->pd()));
+  if (engine->progress_thread_running()) {
+    // The engine's thread serves this connection; its poll-set drain is
+    // single-consumer, so the client must not pump it too. The longer
+    // stall deadline covers a loaded thread answering many clients.
+    auto rpc = std::make_unique<rpc::RpcClient>(qp, local, nullptr);
+    rpc->set_stall_timeout_ms(10000.0);
+    return rpc;
+  }
+  // The pump is the engine's full progress tick (poll-set drain + xstream
+  // run queues), not a per-QP poke: one pump services every client of the
+  // engine and completes deferred requests — the fairness property
+  // multi-QP tests pin.
+  return std::make_unique<rpc::RpcClient>(
+      qp, local, [engine] { (void)engine->ProgressAll(); });
 }
 
 void DaosEngine::SetupTelemetry() {
@@ -241,12 +240,8 @@ void DaosEngine::SetupTelemetry() {
   telemetry_.RegisterCallback("sched/queue_high_water", [this] {
     return std::int64_t(scheduler_.max_queue_depth());
   });
-  telemetry_.RegisterCallback("sched/executed", [this] {
-    return std::int64_t(scheduler_.executed());
-  });
-  telemetry_.RegisterCallback("sched/busy_ns", [this] {
-    return std::int64_t(scheduler_.busy_ns());
-  });
+  telemetry_.LinkCounter("sched/executed", &scheduler_.executed_counter());
+  telemetry_.LinkCounter("sched/busy_ns", &scheduler_.busy_ns_counter());
   for (std::uint32_t t = 0; t < config_.targets; ++t) {
     const std::string base = "sched/target/" + std::to_string(t) + "/";
     telemetry_.RegisterCallback(base + "queue_depth", [this, t] {
@@ -361,14 +356,14 @@ void DaosEngine::RegisterHandlers() {
   // drain first so the listing observes every already-issued op.
   server_.Register(std::uint32_t(DaosOpcode::kListDkeys),
                    [this](const Buffer& h, rpc::BulkIo&) {
-                     DrainBarrier();
+                     scheduler_.Quiesce();
                      return HandleListDkeys(h);
                    });
   // kObjScan (the rebuild walk) enumerates every target too: same barrier
   // so the scan observes every already-issued op.
   server_.Register(std::uint32_t(DaosOpcode::kObjScan),
                    [this](const Buffer&, rpc::BulkIo&) {
-                     DrainBarrier();
+                     scheduler_.Quiesce();
                      return HandleObjScan();
                    });
 
@@ -659,7 +654,7 @@ rpc::HandlerVerdict DaosEngine::DeferObjPunch(rpc::RpcContextPtr ctx) {
   const auto scope = PunchScope(scope_raw);
   if (scope == PunchScope::kObject) {
     // Object punch touches every target: barrier, then answer inline.
-    DrainBarrier();
+    scheduler_.Quiesce();
     (void)ctx->Complete(HandleObjectPunch(addr));
     return rpc::HandlerVerdict::kDone;
   }

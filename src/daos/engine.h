@@ -13,9 +13,10 @@
 // The request path is the paper's event-driven pipeline: every accepted QP
 // reports into the engine's net::PollSet; ProgressAll() drains ready QPs
 // (decode -> dispatch), data-plane ops defer onto their target's
-// EngineScheduler run queue, and the scheduler's round-robin drain
-// executes them — same-dkey ops stay FIFO on their target while different
-// targets interleave — completing each deferred RpcContext with its reply.
+// EngineScheduler FIFO, and the scheduler's executor (the progress path's
+// round-robin pass, or the target's worker thread) runs them — same-dkey
+// ops stay FIFO on their target while different targets interleave —
+// completing each deferred RpcContext with its reply.
 // Metadata ops answer inline from dispatch; ops that touch every target
 // (object punch, dkey enumeration) drain the xstreams first (a barrier),
 // so they observe every previously-issued op.
@@ -99,24 +100,16 @@ struct EngineConfig {
   /// SCM arena per target (allocates real memory; sized for tests/benches).
   std::uint64_t scm_per_target = 64ull * 1024 * 1024;
   bool checksums = true;
-  /// True: each target is a real execution stream — a worker thread with a
-  /// bounded submit queue — and deferred ops execute on their target's
-  /// thread (replies still serialize on the progress path). False: the
-  /// deterministic single-threaded round-robin drain.
+  /// Selects the scheduler's executor. True: each target is a real
+  /// execution stream — a worker thread with a bounded submit queue
+  /// (Xstream::kDefaultQueueCapacity) — and deferred ops execute on their
+  /// target's thread (replies still serialize on the progress path).
+  /// False: the deterministic inline round-robin pass.
   bool xstream_workers = false;
-  /// Per-target submit-queue bound (threaded mode only).
-  std::size_t xstream_queue_depth = 256;
   /// False: no metric tree, no per-op latency stamping, no scheduler
   /// clock reads — the engine answers kTelemetryQuery with an empty
   /// snapshot. The instrumentation-overhead bench's control arm.
   bool telemetry = true;
-};
-
-struct EngineStats {
-  std::uint64_t updates = 0;
-  std::uint64_t fetches = 0;
-  std::uint64_t bulk_bytes_in = 0;
-  std::uint64_t bulk_bytes_out = 0;
 };
 
 class DaosEngine {
@@ -142,24 +135,26 @@ class DaosEngine {
   std::uint32_t num_targets() const { return std::uint32_t(targets_.size()); }
 
   /// One engine progress call (the CaRT progress-loop tick): drains every
-  /// ready accepted QP through decode->dispatch, then completes deferred
-  /// requests — serial mode runs the run queues dry; threaded mode waits
-  /// for the workers to finish what was handed to them (a synchronous
-  /// pump: replies for everything decodable are sent before returning).
-  /// Clients pump this as their progress hook.
+  /// ready accepted QP through decode->dispatch, then runs the scheduler
+  /// barrier (EngineScheduler::Quiesce) — a synchronous pump: replies for
+  /// everything decodable are sent before returning, whichever executor
+  /// ran them. Clients connected while no progress thread runs pump this
+  /// as their progress hook (DialEngine).
   Status ProgressAll();
 
   /// Starts the dedicated network progress thread: blocks in the poll
   /// set's DrainWait (doorbell wakeups — QP sends and worker completions
-  /// both ring it), services ready QPs, and sends finished replies. With
-  /// this running, clients need no progress hook at all. No-op if already
-  /// running.
+  /// both ring it), services ready QPs, and sends finished replies.
+  /// Clients connected after it starts install no pump (DialEngine), so
+  /// several client threads can share the engine: its poll set is
+  /// single-consumer. No-op if already running.
   void StartProgressThread();
   /// Stops and joins the progress thread (no-op if not running). The
   /// destructor calls it.
   void StopProgressThread();
+  /// Safe to read from any thread.
   bool progress_thread_running() const {
-    return progress_thread_.joinable();
+    return progress_running_.load(std::memory_order_acquire);
   }
 
   /// The engine's per-target run queues (telemetry + tests).
@@ -169,8 +164,6 @@ class DaosEngine {
 
   /// Direct VOS access for white-box tests (target introspection).
   Vos* target_vos(std::uint32_t target);
-
-  EngineStats stats() const;
 
   /// The engine's metric tree (empty when config.telemetry is false).
   /// Remote readers use kTelemetryQuery; in-process readers may snapshot
@@ -277,10 +270,6 @@ class DaosEngine {
                                 std::uint32_t target);
 
   void ProgressThreadMain();
-  /// Barrier before ops that must observe every issued op (object punch,
-  /// dkey enumeration): serial = run the queues dry; threaded = quiesce
-  /// the workers and send their replies.
-  void DrainBarrier();
 
   net::Fabric* fabric_;
   EngineConfig config_;
@@ -311,11 +300,22 @@ class DaosEngine {
   telemetry::Timestamp* last_query_at_ = nullptr;
   std::thread progress_thread_;
   std::atomic<bool> progress_stop_{false};
+  /// Mirrors progress_thread_.joinable() for readers on other threads.
+  std::atomic<bool> progress_running_{false};
   /// Satellite: the progress thread's exit publishes a final snapshot so
   /// dumps after Stop() are not all-zero.
   mutable common::Mutex published_mu_;
   telemetry::TelemetrySnapshot published_ ROS2_GUARDED_BY(published_mu_);
   bool has_published_ ROS2_GUARDED_BY(published_mu_) = false;
 };
+
+/// Dials `engine` from `local` and returns the connection's RpcClient.
+/// If the engine's progress thread is not running at connect time, the
+/// client pumps DaosEngine::ProgressAll as its progress hook; otherwise
+/// it gets no hook and a 10 s stall deadline (the thread answers many
+/// clients). Every DaosClient and RebuildManager connection is made here.
+[[nodiscard]] Result<std::unique_ptr<rpc::RpcClient>> DialEngine(
+    net::Endpoint* local, DaosEngine* engine, net::Transport transport,
+    net::PdId pd);
 
 }  // namespace ros2::daos

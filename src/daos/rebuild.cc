@@ -40,20 +40,9 @@ Result<std::unique_ptr<RebuildManager>> RebuildManager::Create(
   mgr->replicas_ = options.replicas;
   mgr->max_journal_passes_ = options.max_journal_passes;
   for (DaosEngine* engine : engines) {
-    if (engine == nullptr || engine->endpoint() == nullptr) {
-      return Status(InvalidArgument("engine has no endpoint"));
-    }
-    ROS2_ASSIGN_OR_RETURN(
-        net::Qp * qp, ep->Connect(engine->endpoint(), options.transport, pd,
-                                  engine->pd()));
-    mgr->rpcs_.push_back(std::make_unique<rpc::RpcClient>(
-        qp, ep,
-        options.progress_pump
-            ? std::function<void()>([engine] { (void)engine->ProgressAll(); })
-            : std::function<void()>()));
-    if (!options.progress_pump) {
-      mgr->rpcs_.back()->set_stall_timeout_ms(10000.0);
-    }
+    ROS2_ASSIGN_OR_RETURN(std::unique_ptr<rpc::RpcClient> rpc,
+                          DialEngine(ep, engine, options.transport, pd));
+    mgr->rpcs_.push_back(std::move(rpc));
     mgr->stats_.push_back(std::make_unique<PerEngine>());
   }
   // Auth handshake against every engine's pool service, like any client.

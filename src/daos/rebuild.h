@@ -27,8 +27,9 @@
 //      reintegration tick).
 //
 // The manager is a pool-service client: it owns its own fabric endpoint
-// and an RPC connection per engine, and shares the PoolMap (and its
-// journal) with the control plane and the data-path clients.
+// and an RPC connection per engine (dialled like a DaosClient's: pumped
+// unless the engine's progress thread runs), and shares the PoolMap (and
+// its journal) with the control plane and the data-path clients.
 #pragma once
 
 #include <atomic>
@@ -70,11 +71,6 @@ class RebuildManager {
     /// Journal-drain passes before giving up (a pass that finds the
     /// journal empty ends the loop early).
     std::uint32_t max_journal_passes = 64;
-    /// False: no progress hooks on the manager's RPC connections — the
-    /// engines' progress threads serve them (required when the manager
-    /// runs concurrently with pumping clients; the engine poll set is
-    /// single-consumer).
-    bool progress_pump = true;
   };
 
   /// Dials every engine (PoolConnect handshake included). `pool_map` is

@@ -16,7 +16,7 @@ EngineScheduler::EngineScheduler(std::uint32_t targets,
   if (threaded_) {
     xstreams_.reserve(targets);
     for (std::uint32_t t = 0; t < targets; ++t) {
-      xstreams_.push_back(std::make_unique<Xstream>(options.queue_capacity));
+      xstreams_.push_back(std::make_unique<Xstream>());
     }
   } else {
     queues_.resize(targets);
@@ -38,39 +38,52 @@ void EngineScheduler::NoteQueued() {
 void EngineScheduler::Enqueue(std::uint32_t target, rpc::RpcContextPtr ctx,
                               OpFn op) {
   assert(target < num_targets_ && "target out of range");
+  NoteQueued();
   if (!threaded_) {
     queues_[target].push_back(QueuedOp{std::move(ctx), std::move(op)});
-    NoteQueued();
     return;
   }
-  // Workers need a copyable task closure (std::function), so ownership of
-  // the context goes shared at the submit boundary.
-  auto shared = std::shared_ptr<rpc::RpcContext>(ctx.release());
-  NoteQueued();
-  const bool accepted = xstreams_[target]->Submit(
-      [this, target, shared, op = std::move(op)]() mutable {
-        std::uint64_t t0 = 0;
-        if (time_ops_) {
-          t0 = telemetry::NowNs();
-          shared->MarkExecStart(t0);
-        }
-        Result<Buffer> reply = op(*shared);
-        if (time_ops_) {
-          const std::uint64_t t1 = telemetry::NowNs();
-          shared->MarkExecEnd(t1);
-          busy_ns_.Add(t1 - t0, target);
-        }
-        PushCompletion(target, std::move(shared), std::move(reply));
-      });
+  // Xstream tasks are copyable closures (std::function), so the op goes
+  // shared at the submit boundary.
+  auto item =
+      std::make_shared<QueuedOp>(QueuedOp{std::move(ctx), std::move(op)});
+  const bool accepted = xstreams_[target]->Submit([this, target, item] {
+    Result<Buffer> reply = Execute(target, *item);
+    PushCompletion(target, std::move(item->ctx), std::move(reply));
+  });
   if (!accepted) {
     // Stream already stopping: answer instead of dropping the request.
     queued_total_.fetch_sub(1, std::memory_order_acq_rel);
-    (void)shared->Complete(Status(Unavailable("engine shutting down")));
+    (void)item->ctx->Complete(Status(Unavailable("engine shutting down")));
   }
 }
 
+Result<Buffer> EngineScheduler::Execute(std::uint32_t target,
+                                        QueuedOp& item) {
+  std::uint64_t t0 = 0;
+  if (time_ops_) {
+    t0 = telemetry::NowNs();
+    item.ctx->MarkExecStart(t0);
+  }
+  Result<Buffer> reply = item.op(*item.ctx);
+  if (time_ops_) {
+    const std::uint64_t t1 = telemetry::NowNs();
+    item.ctx->MarkExecEnd(t1);
+    busy_ns_.Add(t1 - t0, target);
+  }
+  return reply;
+}
+
+void EngineScheduler::Reply(std::uint32_t target, rpc::RpcContext& ctx,
+                            Result<Buffer> reply) {
+  // A failed Complete (dead QP) is the transport's problem; the op ran.
+  (void)ctx.Complete(std::move(reply));
+  executed_.Add(1, target);
+  queued_total_.fetch_sub(1, std::memory_order_acq_rel);
+}
+
 void EngineScheduler::PushCompletion(std::uint32_t target,
-                                     std::shared_ptr<rpc::RpcContext> ctx,
+                                     rpc::RpcContextPtr ctx,
                                      Result<Buffer> reply) {
   {
     common::MutexLock lk(completions_mu_);
@@ -87,10 +100,7 @@ std::size_t EngineScheduler::DrainCompletions() {
     Completion c = std::move(completions_.front());
     completions_.pop_front();
     lk.Unlock();
-    // A failed Complete (dead QP) is the transport's problem; the op ran.
-    (void)c.ctx->Complete(std::move(c.reply));
-    executed_.Add(1, c.target);
-    queued_total_.fetch_sub(1, std::memory_order_acq_rel);
+    Reply(c.target, *c.ctx, std::move(c.reply));
     ++n;
     lk.Lock();
   }
@@ -107,21 +117,7 @@ std::size_t EngineScheduler::ProgressOnce() {
     if (queue.empty()) continue;
     QueuedOp item = std::move(queue.front());
     queue.pop_front();
-    queued_total_.fetch_sub(1, std::memory_order_acq_rel);
-    std::uint64_t t0 = 0;
-    if (time_ops_) {
-      t0 = telemetry::NowNs();
-      item.ctx->MarkExecStart(t0);
-    }
-    Result<Buffer> reply = item.op(*item.ctx);
-    if (time_ops_) {
-      const std::uint64_t t1 = telemetry::NowNs();
-      item.ctx->MarkExecEnd(t1);
-      busy_ns_.Add(t1 - t0, t);
-    }
-    // A failed Complete (dead QP) is the transport's problem; the op ran.
-    (void)item.ctx->Complete(std::move(reply));
-    executed_.Add(1, t);
+    Reply(t, *item.ctx, Execute(t, item));
     ++ran;
   }
   // Rotate the pass's start so target `cursor_` is not structurally first
@@ -130,31 +126,21 @@ std::size_t EngineScheduler::ProgressOnce() {
   return ran;
 }
 
-std::size_t EngineScheduler::ProgressAll() {
-  if (threaded_) return DrainCompletions();
+std::size_t EngineScheduler::Quiesce() {
+  // Idle workers only ever add completions, so the passes below reply to
+  // everything that was enqueued before this call.
+  for (auto& xs : xstreams_) xs->Quiesce();
   std::size_t total = 0;
-  while (!idle()) {
-    total += ProgressOnce();
-  }
+  while (!idle()) total += ProgressOnce();
   return total;
 }
 
-std::size_t EngineScheduler::Quiesce() {
-  if (!threaded_) return ProgressAll();
-  // Every already-submitted op finishes executing (workers go idle), then
-  // every computed reply goes out. Workers only ever ADD completions, so
-  // once they are idle one drain empties the hand-off queue.
-  for (auto& xs : xstreams_) xs->Quiesce();
-  return DrainCompletions();
-}
-
 void EngineScheduler::Shutdown() {
-  if (!threaded_) return;
   if (shut_down_.exchange(true)) return;
   // Stop() runs everything still queued before joining, so no accepted
-  // request is lost; the final drain sends their replies.
+  // request is lost; the passes send their replies.
   for (auto& xs : xstreams_) xs->Stop();
-  DrainCompletions();
+  while (!idle()) ProgressOnce();
 }
 
 std::size_t EngineScheduler::queued(std::uint32_t target) const {

@@ -2,29 +2,35 @@
 //
 // "The engine spawns one xstream per target; the CaRT progress loop
 // decodes incoming RPCs and hands each one to the xstream owning its
-// dkey." This scheduler is that structure, in two modes:
+// dkey." This scheduler is that structure, with one op path:
 //
-//  - SERIAL (default): every target owns a FIFO run queue of deferred
-//    requests (rpc::RpcContext + the bound VOS operation), and
-//    ProgressAll() drains the queues in round-robin passes — one op per
-//    target per pass — so one hot target cannot starve the others, while
-//    ops on the SAME target (and therefore the same dkey, since placement
-//    is by dkey) execute strictly in arrival order. Deterministic; what
-//    the single-threaded tests and the perf model pin.
+//  - ONE QUEUE: every target owns a FIFO of QueuedOp{ctx, op} (the
+//    deferred rpc::RpcContext plus its bound VOS operation). Ops on the
+//    same target (and therefore the same dkey, since placement is by
+//    dkey) execute strictly in arrival order.
+//  - ONE BODY: Execute runs the op, stamping exec start/end on the context
+//    and adding the elapsed time to the target's busy_ns shard.
+//  - ONE REPLY STEP: RpcContext::Complete, then the executed count and the
+//    queued accounting, always on the progress path (CaRT's rule: reply
+//    serialization stays on the network progress thread).
 //
-//  - THREADED: every target owns a real worker thread (daos::Xstream)
-//    with a bounded MPSC submit queue — the Argobots-xstream-per-target
-//    shape. Enqueue() hands the op to the target's worker; the op body
-//    (VOS access, bulk movement) runs on that thread, preserving per-dkey
-//    FIFO order because one thread drains one FIFO queue. The computed
-//    reply is NOT sent from the worker: it is pushed onto a completion
-//    queue and the next ProgressOnce()/ProgressAll() — the progress
-//    thread's tick — performs RpcContext::Complete there, so reply
-//    serialization stays on the network progress path (CaRT's rule).
+// EngineSchedulerOptions::threaded selects only the executor:
 //
-// Epoch stamping, container lookup, and bulk movement all happen at
-// execution time on the target's stream, exactly like a ULT body; the
-// decode step only routed the request here.
+//  - INLINE (default): the progress path executes. Each ProgressOnce() is
+//    one round-robin pass — at most one op per target, with a rotating
+//    start target so one hot target cannot starve the others — that runs
+//    each op and replies in place. Deterministic; what the single-threaded
+//    tests and the perf model pin.
+//  - WORKER: every target's FIFO is the bounded MPSC submit queue of a
+//    real worker thread (daos::Xstream) — the Argobots-xstream-per-target
+//    shape. The worker runs the body, then hands the reply to a completion
+//    queue; the next ProgressOnce() performs the reply step for every
+//    finished op.
+//
+// Quiesce and Shutdown are the same for both: quiesce (or stop) any
+// workers, then run passes until idle. Epoch stamping, container lookup,
+// and bulk movement all happen at execution time on the target's stream,
+// exactly like a ULT body; the decode step only routed the request here.
 #pragma once
 
 #include <atomic>
@@ -44,11 +50,9 @@
 namespace ros2::daos {
 
 struct EngineSchedulerOptions {
-  /// false: single-threaded round-robin drain (deterministic).
+  /// false: the inline executor (the progress path runs each op).
   /// true: one worker thread per target + completion hand-off.
   bool threaded = false;
-  /// Per-target submit-queue bound (threaded mode; backpressures Enqueue).
-  std::size_t queue_capacity = Xstream::kDefaultQueueCapacity;
   /// Stamp execution start/end on each context and accumulate per-target
   /// busy time (two clock reads per op). The engine wires this to
   /// EngineConfig::telemetry so an uninstrumented engine pays nothing.
@@ -67,32 +71,26 @@ class EngineScheduler {
   EngineScheduler(const EngineScheduler&) = delete;
   EngineScheduler& operator=(const EngineScheduler&) = delete;
 
-  /// Parks `ctx` on `target`'s run queue. FIFO per target. In threaded
-  /// mode this blocks while the target's submit queue is full; after
+  /// Parks `ctx` on `target`'s FIFO. With workers this blocks while the
+  /// target's submit queue is full (Xstream::kDefaultQueueCapacity); after
   /// Shutdown() the context is completed with UNAVAILABLE instead.
   void Enqueue(std::uint32_t target, rpc::RpcContextPtr ctx, OpFn op);
 
-  /// Serial: one round-robin pass — at most one queued op per target (the
-  /// pass's start target rotates so draining is fair under load).
-  /// Threaded: sends every reply the workers have finished computing
-  /// (RpcContext::Complete on the calling thread).
-  /// Returns ops completed.
+  /// One progress pass; returns the ops replied to. Inline: executes at
+  /// most one queued op per target (the pass's start target rotates so
+  /// draining is fair under load). Workers: replies to every op the
+  /// workers have finished (non-blocking).
   std::size_t ProgressOnce();
 
-  /// Serial: round-robin passes until every queue is empty. Threaded:
-  /// identical to ProgressOnce (non-blocking completion drain — workers
-  /// may still be executing). Returns ops completed.
-  std::size_t ProgressAll();
-
   /// BARRIER: every op enqueued before this call has executed AND its
-  /// reply has been sent when it returns. Serial: ProgressAll. Threaded:
-  /// quiesces every worker, then drains the completion queue. Callers
-  /// must not Enqueue concurrently with a Quiesce they depend on.
+  /// reply has been sent when it returns. Quiesces any workers, then runs
+  /// passes until idle. Callers must not Enqueue concurrently with a
+  /// Quiesce they depend on. Returns ops replied to.
   std::size_t Quiesce();
 
-  /// Threaded: stops every worker (queued ops still execute — a clean
-  /// shutdown loses no requests), then sends the remaining replies.
-  /// Serial: no-op. Idempotent; the destructor calls it.
+  /// Stops any workers (queued ops still execute — a clean shutdown loses
+  /// no requests), then runs passes until idle. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   /// Invoked (from a worker thread) whenever a finished reply lands on
@@ -123,8 +121,11 @@ class EngineScheduler {
   std::uint64_t busy_ns(std::uint32_t target) const {
     return busy_ns_.shard_value(target);
   }
-  /// Time a target's worker spent parked waiting for work (threaded mode
-  /// only; 0 in serial mode, where idleness belongs to the progress loop).
+  /// The counters behind executed() and busy_ns(), for metric-tree links.
+  const telemetry::Counter& executed_counter() const { return executed_; }
+  const telemetry::Counter& busy_ns_counter() const { return busy_ns_; }
+  /// Time a target's worker spent parked waiting for work (workers only;
+  /// 0 inline, where idleness belongs to the progress loop).
   std::uint64_t idle_ns(std::uint32_t target) const;
   bool time_ops() const { return time_ops_; }
   /// High-water mark of total queued ops (pipeline depth telemetry).
@@ -138,14 +139,18 @@ class EngineScheduler {
     OpFn op;
   };
   struct Completion {
-    std::shared_ptr<rpc::RpcContext> ctx;
+    rpc::RpcContextPtr ctx;
     Result<Buffer> reply;
     std::uint32_t target = 0;
   };
 
   void NoteQueued();
-  void PushCompletion(std::uint32_t target,
-                      std::shared_ptr<rpc::RpcContext> ctx,
+  /// The op body: exec stamps around the op, busy time to `target`.
+  Result<Buffer> Execute(std::uint32_t target, QueuedOp& item);
+  /// The reply step (progress path only).
+  void Reply(std::uint32_t target, rpc::RpcContext& ctx,
+             Result<Buffer> reply);
+  void PushCompletion(std::uint32_t target, rpc::RpcContextPtr ctx,
                       Result<Buffer> reply) ROS2_EXCLUDES(completions_mu_);
   std::size_t DrainCompletions() ROS2_EXCLUDES(completions_mu_);
 
@@ -153,14 +158,16 @@ class EngineScheduler {
   const std::uint32_t num_targets_;
   const bool time_ops_;
 
-  // Serial mode state (owner: the single progress thread — single-owner
-  // by contract, so unguarded on purpose; threaded mode never touches it).
+  // Inline executor: the per-target FIFOs and the pass cursor (owner: the
+  // single progress thread — single-owner by contract, so unguarded on
+  // purpose; the worker executor never touches them).
   std::vector<std::deque<QueuedOp>> queues_;
   std::uint32_t cursor_ = 0;  // rotating start target for fairness
 
-  // Threaded mode state. Workers push onto the completion queue under
+  // Worker executor: one Xstream per target (its submit queue is the
+  // target's FIFO). Workers push onto the completion queue under
   // completions_mu_; the progress thread drains it (lock dropped around
-  // each Complete so workers keep finishing while replies send).
+  // each reply so workers keep finishing while replies send).
   std::vector<std::unique_ptr<Xstream>> xstreams_;
   common::Mutex completions_mu_;
   std::deque<Completion> completions_ ROS2_GUARDED_BY(completions_mu_);

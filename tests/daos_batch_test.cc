@@ -48,7 +48,9 @@ class DaosBatchTest : public ::testing::TestWithParam<net::Transport> {
 
   std::uint64_t TotalUpdates() const {
     std::uint64_t n = 0;
-    for (const auto& engine : engines_) n += engine->stats().updates;
+    for (const auto& engine : engines_) {
+      n += engine->telemetry().Snapshot().ValueOr("engine/updates", 0);
+    }
     return n;
   }
 

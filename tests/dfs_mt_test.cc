@@ -62,7 +62,6 @@ class DfsMtTest : public ::testing::Test {
   std::unique_ptr<daos::DaosClient> NewClient(const std::string& name) {
     daos::DaosClient::ConnectOptions options;
     options.client_address = "fabric://dfs-mt-" + name;
-    options.progress_pump = false;
     auto client = daos::DaosClient::Connect(&fabric_, engine_.get(), options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(*client) : nullptr;

@@ -1,15 +1,18 @@
 // EngineScheduler + engine pipeline tests: per-target FIFO with
 // round-robin interleave across targets, multi-QP fairness through one
-// DaosEngine::ProgressAll() tick, and the validating DaosEngine::Create
-// factory (targets == 0 regression).
+// DaosEngine::ProgressAll() tick, the validating DaosEngine::Create
+// factory (targets == 0 regression), and one op sequence run on both
+// scheduler executors (inline pass and worker threads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/units.h"
+#include "daos/client.h"
 #include "daos/engine.h"
 #include "daos/placement.h"
 #include "daos/scheduler.h"
@@ -103,7 +106,7 @@ TEST_F(SchedulerTest, RoundRobinInterleavesTargetsFifoWithinTarget) {
   EXPECT_EQ(client_->Poll(), 6u);
 }
 
-TEST_F(SchedulerTest, ProgressAllDrainsEverything) {
+TEST_F(SchedulerTest, QuiesceDrainsEverything) {
   EngineScheduler sched(4);
   auto ctxs = Park(9);
   int ran = 0;
@@ -114,7 +117,7 @@ TEST_F(SchedulerTest, ProgressAllDrainsEverything) {
                     return Buffer{};
                   });
   }
-  EXPECT_EQ(sched.ProgressAll(), 9u);
+  EXPECT_EQ(sched.Quiesce(), 9u);
   EXPECT_EQ(ran, 9);
   EXPECT_TRUE(sched.idle());
   EXPECT_EQ(client_->Poll(), 9u);
@@ -127,7 +130,7 @@ TEST_F(SchedulerTest, FailingOpCompletesContextWithError) {
                 [](rpc::RpcContext&) -> Result<Buffer> {
                   return Status(DataLoss("checksum mismatch on xstream"));
                 });
-  EXPECT_EQ(sched.ProgressAll(), 1u);
+  EXPECT_EQ(sched.Quiesce(), 1u);
   EXPECT_EQ(client_->Poll(), 1u);
 }
 
@@ -259,7 +262,7 @@ TEST_F(EnginePipelineTest, OneProgressTickServicesAllClientsFairly) {
       ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     }
   }
-  EXPECT_EQ(engine_->stats().updates,
+  EXPECT_EQ(engine_->telemetry().Snapshot().ValueOr("engine/updates", 0),
             std::uint64_t(kClients) * kCallsPerClient);
 }
 
@@ -347,6 +350,148 @@ TEST_F(EnginePipelineTest, SameDkeyOpsStayFifoAcrossThePipeline) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(*value, values.back());
 }
+
+// ------------------------------------------ one sequence, both executors
+
+/// The executor (EngineConfig::xstream_workers) is the only thing the
+/// parameter changes, so both instances must produce the same data and
+/// execute the same number of deferred ops. Epoch values are not
+/// compared: workers stamp them concurrently across targets.
+enum class Executor { kInline, kWorkers };
+
+class EngineExecutorTest : public ::testing::TestWithParam<Executor> {
+ protected:
+  void SetUp() override {
+    storage::NvmeDeviceConfig dev;
+    dev.capacity_bytes = 256 * kMiB;
+    device_ = std::make_unique<storage::NvmeDevice>(dev);
+    storage::NvmeDevice* raw[] = {device_.get()};
+    EngineConfig config;
+    config.address = "fabric://executor-engine";
+    config.targets = 4;
+    config.scm_per_target = 16 * kMiB;
+    config.xstream_workers = GetParam() == Executor::kWorkers;
+    auto engine = DaosEngine::Create(&fabric_, config, raw);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = std::move(*engine);
+    // No progress thread runs, so the client pumps ProgressAll.
+    ASSERT_FALSE(engine_->progress_thread_running());
+    auto client = DaosClient::Connect(&fabric_, engine_.get(), {});
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    client_ = std::move(*client);
+  }
+
+  net::Fabric fabric_;
+  std::unique_ptr<storage::NvmeDevice> device_;
+  std::unique_ptr<DaosEngine> engine_;
+  std::unique_ptr<DaosClient> client_;
+};
+
+TEST_P(EngineExecutorTest, SameSequenceSameOutcome) {
+  ASSERT_EQ(engine_->scheduler().threaded(),
+            GetParam() == Executor::kWorkers);
+  auto cont = client_->ContainerCreate("executors");
+  ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+  auto oid = client_->AllocOid(*cont);
+  ASSERT_TRUE(oid.ok()) << oid.status().ToString();
+  const std::uint64_t executed_before = engine_->scheduler().executed();
+  std::uint64_t deferred = 0;  // deferred ops this sequence issues
+
+  // Updates spread across targets, all in flight at once.
+  constexpr int kSpread = 16;
+  constexpr std::size_t kLen = 4096;
+  std::vector<Buffer> spread;
+  std::vector<DaosClient::UpdateOp> updates;
+  std::vector<bool> target_used(engine_->num_targets(), false);
+  for (int i = 0; i < kSpread; ++i) {
+    const std::string dkey = "d" + std::to_string(i);
+    target_used[PlaceDkey(*oid, dkey, engine_->num_targets())] = true;
+    spread.push_back(MakePatternBuffer(kLen, std::uint64_t(i) + 1));
+    updates.push_back({*cont, *oid, dkey, "a", 0, spread.back()});
+  }
+  ASSERT_EQ(std::count(target_used.begin(), target_used.end(), true),
+            std::ptrdiff_t(engine_->num_targets()))
+      << "test dkeys must cover every target";
+  ASSERT_TRUE(client_->UpdateBatch(updates).ok());
+  deferred += kSpread;
+
+  // Same-dkey overwrites in one batch: they ride one target FIFO, so HEAD
+  // is v1 overwritten by v2, then v3 over the middle.
+  const Buffer v1 = MakePatternBuffer(kLen, 101);
+  const Buffer v2 = MakePatternBuffer(kLen, 102);
+  const Buffer v3 = MakePatternBuffer(kLen / 2, 103);
+  const DaosClient::UpdateOp overwrites[] = {
+      {*cont, *oid, "hot", "a", 0, v1},
+      {*cont, *oid, "hot", "a", 0, v2},
+      {*cont, *oid, "hot", "a", kLen / 4, v3},
+  };
+  auto epochs = client_->UpdateBatch(overwrites);
+  ASSERT_TRUE(epochs.ok()) << epochs.status().ToString();
+  deferred += 3;
+  Buffer head_expected = v2;
+  std::copy(v3.begin(), v3.end(), head_expected.begin() + kLen / 4);
+
+  // Fetch at HEAD, then at the first overwrite's returned epoch.
+  Buffer out(kLen);
+  ASSERT_TRUE(client_->Fetch(*cont, *oid, "hot", "a", 0, out).ok());
+  EXPECT_EQ(out, head_expected);
+  ASSERT_TRUE(
+      client_->Fetch(*cont, *oid, "hot", "a", 0, out, (*epochs)[0]).ok());
+  EXPECT_EQ(out, v1);
+  deferred += 2;
+
+  std::vector<Buffer> fetched(kSpread, Buffer(kLen));
+  std::vector<DaosClient::FetchOp> fetches;
+  for (int i = 0; i < kSpread; ++i) {
+    fetches.push_back({*cont, *oid, "d" + std::to_string(i), "a", 0,
+                       fetched[std::size_t(i)]});
+  }
+  ASSERT_TRUE(client_->FetchBatch(fetches).ok());
+  deferred += kSpread;
+  EXPECT_EQ(fetched, spread);
+
+  // Dkey punch: the dkey reads back as a hole but stays enumerable.
+  ASSERT_TRUE(client_->PunchDkey(*cont, *oid, "d3").ok());
+  ASSERT_TRUE(client_->Fetch(*cont, *oid, "d3", "a", 0, out).ok());
+  EXPECT_EQ(out, Buffer(kLen));
+  deferred += 2;
+
+  // Paged listing: a barrier over every target, five dkeys a page.
+  std::vector<std::string> listed;
+  std::string marker;
+  for (;;) {
+    auto page = client_->ListDkeysPage(*cont, *oid, marker, 5);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    listed.insert(listed.end(), page->dkeys.begin(), page->dkeys.end());
+    if (!page->more) break;
+    marker = page->dkeys.back();
+  }
+  std::vector<std::string> expected_keys = {"hot"};
+  for (int i = 0; i < kSpread; ++i) {
+    expected_keys.push_back("d" + std::to_string(i));
+  }
+  std::sort(expected_keys.begin(), expected_keys.end());
+  EXPECT_EQ(listed, expected_keys);
+
+  auto size = client_->ArraySize(*cont, *oid, "hot", "a");
+  ASSERT_TRUE(size.ok()) << size.status().ToString();
+  EXPECT_EQ(*size, kLen);
+  deferred += 1;
+
+  EXPECT_EQ(engine_->scheduler().executed() - executed_before, deferred);
+  EXPECT_EQ(engine_->telemetry().Snapshot().ValueOr("sched/executed", 0),
+            engine_->scheduler().executed());
+  EXPECT_TRUE(engine_->scheduler().idle());
+}
+
+INSTANTIATE_TEST_SUITE_P(Executors, EngineExecutorTest,
+                         ::testing::Values(Executor::kInline,
+                                           Executor::kWorkers),
+                         [](const auto& info) {
+                           return std::string(info.param == Executor::kWorkers
+                                                  ? "Workers"
+                                                  : "Inline");
+                         });
 
 }  // namespace
 }  // namespace ros2::daos

@@ -72,8 +72,9 @@ TEST_P(MultiEngineTest, RoundTripAcrossEngines) {
   }
   int populated = 0;
   for (auto& engine : engines_) {
-    std::uint64_t updates = engine->stats().updates;
-    if (updates > 0) ++populated;
+    if (engine->telemetry().Snapshot().ValueOr("engine/updates", 0) > 0) {
+      ++populated;
+    }
   }
   EXPECT_EQ(populated, kEngines) << "placement failed to spread dkeys";
 

@@ -55,7 +55,6 @@ class RebuildMtTest : public ::testing::Test {
     options.client_address = "fabric://rebuild-mt-" + name;
     options.replicas = kReplicas;
     options.pool_map = map_.get();
-    options.progress_pump = false;
     auto client = DaosClient::Connect(&fabric_, raw_engines_, options);
     EXPECT_TRUE(client.ok()) << client.status().ToString();
     return client.ok() ? std::move(*client) : nullptr;
@@ -159,7 +158,6 @@ TEST_F(RebuildMtTest, RebuildConvergesUnderConcurrentWrites) {
   RebuildManager::Options ropts;
   ropts.address = "fabric://rebuild-mt-mgr";
   ropts.replicas = kReplicas;
-  ropts.progress_pump = false;
   auto mgr =
       RebuildManager::Create(&fabric_, raw_engines_, map_.get(), ropts);
   ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();

@@ -462,9 +462,6 @@ TEST(EngineTelemetryTest, ExistingStatsAreViewsOverTheTree) {
   ASSERT_TRUE(snap.ok());
   // One source of truth: the snapshot reads the same counter objects the
   // legacy accessors fold, so they must agree exactly.
-  const daos::EngineStats stats = h->engine->stats();
-  EXPECT_EQ(snap->ValueOr("engine/updates", 1), stats.updates);
-  EXPECT_EQ(snap->ValueOr("engine/fetches", 1), stats.fetches);
   EXPECT_EQ(snap->ValueOr("rpc/requests_served", 0), served_before);
   EXPECT_EQ(server->requests_served(), served_before + 1);
   EXPECT_EQ(snap->ValueOr("rpc/requests_deferred", 0),
@@ -476,9 +473,15 @@ TEST(EngineTelemetryTest, ExistingStatsAreViewsOverTheTree) {
   EXPECT_EQ(snap->ValueOr("net/mr_cache/hits", 1), mrc.hits());
   EXPECT_EQ(snap->ValueOr("net/mr_cache/misses", 1), mrc.misses());
   EXPECT_EQ(snap->ValueOr("net/mr_cache/evictions", 1), mrc.evictions());
-  // Scheduler executed: accessor and callback gauge agree.
+  // Scheduler executed: accessor and linked counter agree. Both scheduler
+  // totals are monotonic counts, so they export as counters, not gauges.
   EXPECT_EQ(snap->ValueOr("sched/executed", 0),
             h->engine->scheduler().executed());
+  for (const char* path : {"sched/executed", "sched/busy_ns"}) {
+    const MetricValue* metric = snap->Find(path);
+    ASSERT_NE(metric, nullptr) << path;
+    EXPECT_EQ(int(metric->kind), int(MetricKind::kCounter)) << path;
+  }
 }
 
 TEST(EngineTelemetryTest, ProgressThreadPublishesFinalSnapshotOnStop) {
@@ -522,10 +525,7 @@ TEST(EngineTelemetryTest, DisabledTelemetryAnswersEmptyAndStillCounts) {
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   EXPECT_TRUE(snap->metrics.empty());
   EXPECT_TRUE(snap->traces.empty());
-  // The legacy accessors still count — they own the counters; only the
-  // tree wiring (and per-op latency stamping) is off.
-  EXPECT_EQ(h->engine->stats().updates, std::uint64_t(kOps));
-  EXPECT_EQ(h->engine->stats().fetches, std::uint64_t(kOps));
+  // Only the tree wiring (and per-op latency stamping) is off.
   EXPECT_FALSE(h->engine->scheduler().time_ops());
   EXPECT_EQ(h->engine->scheduler().busy_ns(), 0u);
   EXPECT_EQ(h->engine->published_snapshot().status().code(),
