@@ -13,6 +13,33 @@ ChaChaKey TestKey() {
   return key;
 }
 
+// RFC 8439 §A.1 test vectors #1 and #2: all-zero key and nonce, keystream
+// blocks 0 and 1. The 64-bit counter / 64-bit nonce layout used here puts
+// the same words in the state for a zero nonce, so the blocks match.
+TEST(ChaCha20Test, KnownAnswerRfc8439ZeroKeyBlocks0And1) {
+  const ChaChaKey key{};
+  Buffer data(128, std::byte(0));  // ciphertext of zeros = keystream
+  ChaCha20Xor(key, 0, 0, data);
+  const std::uint8_t block0[64] = {
+      0x76, 0xb8, 0xe0, 0xad, 0xa0, 0xf1, 0x3d, 0x90, 0x40, 0x5d, 0x6a,
+      0xe5, 0x53, 0x86, 0xbd, 0x28, 0xbd, 0xd2, 0x19, 0xb8, 0xa0, 0x8d,
+      0xed, 0x1a, 0xa8, 0x36, 0xef, 0xcc, 0x8b, 0x77, 0x0d, 0xc7, 0xda,
+      0x41, 0x59, 0x7c, 0x51, 0x57, 0x48, 0x8d, 0x77, 0x24, 0xe0, 0x3f,
+      0xb8, 0xd8, 0x4a, 0x37, 0x6a, 0x43, 0xb8, 0xf4, 0x15, 0x18, 0xa1,
+      0x1c, 0xc3, 0x87, 0xb6, 0x69, 0xb2, 0xee, 0x65, 0x86};
+  const std::uint8_t block1[64] = {
+      0x9f, 0x07, 0xe7, 0xbe, 0x55, 0x51, 0x38, 0x7a, 0x98, 0xba, 0x97,
+      0x7c, 0x73, 0x2d, 0x08, 0x0d, 0xcb, 0x0f, 0x29, 0xa0, 0x48, 0xe3,
+      0x65, 0x69, 0x12, 0xc6, 0x53, 0x3e, 0x32, 0xee, 0x7a, 0xed, 0x29,
+      0xb7, 0x21, 0x76, 0x9c, 0xe6, 0x4e, 0x43, 0xd5, 0x71, 0x33, 0xb0,
+      0x74, 0xd8, 0x39, 0xd5, 0x31, 0xed, 0x1f, 0x28, 0x51, 0x0a, 0xfb,
+      0x45, 0xac, 0xe1, 0x0a, 0x1f, 0x4b, 0x79, 0x4d, 0x6f};
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(std::uint8_t(data[i]), block0[i]) << "block 0 byte " << i;
+    EXPECT_EQ(std::uint8_t(data[64 + i]), block1[i]) << "block 1 byte " << i;
+  }
+}
+
 TEST(ChaCha20Test, EncryptDecryptRoundTrip) {
   const ChaChaKey key = TestKey();
   Buffer data = MakePatternBuffer(10000, 1);
