@@ -133,16 +133,40 @@ Status Ros2Client::AdmitBytes(std::uint64_t bytes) {
   return control_->Call("ros2.grant_qos", enc).status();
 }
 
-Status Ros2Client::CryptInPlace(dfs::Fd fd, std::uint64_t offset,
-                                std::span<std::byte> data, bool encrypt) {
+Status Ros2Client::Crypt(dfs::Fd fd, std::uint64_t offset,
+                         std::span<const std::byte> src,
+                         std::span<std::byte> dst, bool encrypt) {
   ROS2_ASSIGN_OR_RETURN(daos::ObjectId oid, dfs_->Oid(fd));
-  ChaCha20Xor(crypto_key_, DeriveNonce(oid.hi, oid.lo), offset, data);
+  ChaCha20XorCopy(crypto_key_, DeriveNonce(oid.hi, oid.lo), offset, src, dst);
   if (encrypt) {
-    counters_.encrypted_bytes += data.size();
+    counters_.encrypted_bytes += src.size();
   } else {
-    counters_.decrypted_bytes += data.size();
+    counters_.decrypted_bytes += src.size();
   }
   return Status::Ok();
+}
+
+std::span<std::byte> Ros2Client::DpuStaging(std::size_t size) {
+  if (dpu_dram_.size() < size) dpu_dram_.resize(size);
+  return {dpu_dram_.data(), size};
+}
+
+Result<std::uint64_t> Ros2Client::StagedRead(dfs::Fd fd, std::uint64_t offset,
+                                             std::span<std::byte> out) {
+  // The payload terminates in DPU DRAM (§3.2 "all payloads currently
+  // terminate in DPU DRAM"). Decryption happens on the DPU, in the same
+  // pass that moves the bytes out of it.
+  std::span<std::byte> staging = DpuStaging(out.size());
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd, offset, staging));
+  if (config_.inline_crypto && n > 0) {
+    ROS2_RETURN_IF_ERROR(Crypt(fd, offset, staging.first(n), out.first(n),
+                               /*encrypt=*/false));
+  } else {
+    std::copy_n(staging.begin(), n, out.begin());
+  }
+  counters_.staging_copies++;
+  counters_.staging_bytes += n;
+  return n;
 }
 
 // Namespace operations forward to the DFS stack (which runs "on the DPU"
@@ -191,27 +215,12 @@ Status Ros2Client::Fsync(dfs::Fd fd) { return dfs_->Fsync(fd); }
 Result<std::uint64_t> Ros2Client::Pread(dfs::Fd fd, std::uint64_t offset,
                                         std::span<std::byte> out) {
   ROS2_RETURN_IF_ERROR(AdmitBytes(out.size()));
-  if (!offloaded()) {
-    ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd, offset, out));
-    if (config_.inline_crypto && n > 0) {
-      ROS2_RETURN_IF_ERROR(
-          CryptInPlace(fd, offset, out.subspan(0, n), /*encrypt=*/false));
-    }
-    return n;
-  }
-  // Offloaded: payload terminates in DPU DRAM (§3.2 "all payloads
-  // currently terminate in DPU DRAM"), then stages to the host buffer.
-  if (dpu_dram_.size() < out.size()) dpu_dram_.resize(out.size());
-  std::span<std::byte> staging(dpu_dram_.data(), out.size());
-  ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd, offset, staging));
+  if (offloaded()) return StagedRead(fd, offset, out);
+  ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd, offset, out));
   if (config_.inline_crypto && n > 0) {
-    // Decryption happens on the DPU, before the payload leaves it.
-    ROS2_RETURN_IF_ERROR(
-        CryptInPlace(fd, offset, staging.subspan(0, n), /*encrypt=*/false));
+    std::span<std::byte> plain = out.first(n);
+    ROS2_RETURN_IF_ERROR(Crypt(fd, offset, plain, plain, /*encrypt=*/false));
   }
-  std::copy_n(staging.begin(), n, out.begin());
-  counters_.staging_copies++;
-  counters_.staging_bytes += n;
   return n;
 }
 
@@ -221,17 +230,17 @@ Status Ros2Client::Pwrite(dfs::Fd fd, std::uint64_t offset,
   if (!offloaded() && !config_.inline_crypto) {
     return dfs_->Write(fd, offset, data);
   }
-  // Stage into DPU DRAM (offload) and/or a scratch copy (crypto needs a
-  // mutable view either way).
-  if (dpu_dram_.size() < data.size()) dpu_dram_.resize(data.size());
-  std::span<std::byte> staging(dpu_dram_.data(), data.size());
-  std::copy(data.begin(), data.end(), staging.begin());
+  // Stage into DPU DRAM (offload) and/or a scratch copy (the caller's
+  // buffer is const), encrypting on the way in.
+  std::span<std::byte> staging = DpuStaging(data.size());
+  if (config_.inline_crypto) {
+    ROS2_RETURN_IF_ERROR(Crypt(fd, offset, data, staging, /*encrypt=*/true));
+  } else {
+    std::copy(data.begin(), data.end(), staging.begin());
+  }
   if (offloaded()) {
     counters_.staging_copies++;
     counters_.staging_bytes += data.size();
-  }
-  if (config_.inline_crypto) {
-    ROS2_RETURN_IF_ERROR(CryptInPlace(fd, offset, staging, /*encrypt=*/true));
   }
   return dfs_->Write(fd, offset, staging);
 }
@@ -275,19 +284,8 @@ Result<std::uint64_t> Ros2Client::PreadGpu(dfs::Fd fd, std::uint64_t offset,
     std::span<std::byte> window = gpu->bytes().subspan(gpu_offset, length);
     return dfs_->Read(fd, offset, window);
   }
-  // Staged path: DPU DRAM first, then a copy into GPU memory.
-  if (dpu_dram_.size() < length) dpu_dram_.resize(length);
-  std::span<std::byte> staging(dpu_dram_.data(), length);
-  ROS2_ASSIGN_OR_RETURN(std::uint64_t n, dfs_->Read(fd, offset, staging));
-  if (config_.inline_crypto && n > 0) {
-    ROS2_RETURN_IF_ERROR(
-        CryptInPlace(fd, offset, staging.subspan(0, n), /*encrypt=*/false));
-  }
-  std::copy_n(staging.begin(), n,
-              gpu->bytes().begin() + std::ptrdiff_t(gpu_offset));
-  counters_.staging_copies++;
-  counters_.staging_bytes += n;
-  return n;
+  // Staged path: DPU DRAM first, then one pass into GPU memory.
+  return StagedRead(fd, offset, gpu->bytes().subspan(gpu_offset, length));
 }
 
 }  // namespace ros2::core

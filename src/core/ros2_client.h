@@ -145,8 +145,17 @@ class Ros2Client {
 
   /// QoS admission via the control plane's grant method.
   Status AdmitBytes(std::uint64_t bytes);
-  Status CryptInPlace(dfs::Fd fd, std::uint64_t offset,
-                      std::span<std::byte> data, bool encrypt);
+  /// Writes `src` XORed with the file's keystream at `offset` into `dst`
+  /// (same size; may be `src` itself) and counts the bytes.
+  Status Crypt(dfs::Fd fd, std::uint64_t offset,
+               std::span<const std::byte> src, std::span<std::byte> dst,
+               bool encrypt);
+  /// The first `size` bytes of DPU DRAM, grown on demand.
+  std::span<std::byte> DpuStaging(std::size_t size);
+  /// Reads into DPU DRAM, then moves the bytes to `out` in one pass:
+  /// decrypting with inline crypto, a plain copy otherwise.
+  Result<std::uint64_t> StagedRead(dfs::Fd fd, std::uint64_t offset,
+                                   std::span<std::byte> out);
 
   Ros2Cluster* cluster_;
   ClientConfig config_;
