@@ -337,8 +337,8 @@ ROS2_BENCH_EXPERIMENT(micro_transport_sweep,
   AsciiTable table({"op", "transport", "4 KiB", "32 KiB", "256 KiB",
                     "1 MiB"});
   bool all_ok = true;
-  // Rates of the dispatched and the scalar cipher, by size index.
-  std::map<SweepOp, std::vector<double>> cipher_rates;
+  // Each series' rates, by size index: the cipher gate compares two.
+  std::map<SweepOp, std::vector<double>> rates;
   for (const SweepSeries& s : kSweepSeries) {
     std::vector<std::string> row = {s.op, s.transport};
     for (const std::uint64_t size : kSweepSizes) {
@@ -352,22 +352,22 @@ ROS2_BENCH_EXPERIMENT(micro_transport_sweep,
                   {"transport", s.transport},
                   {"size", std::to_string(size)}},
                  bench::MetricDirection::kHigherIsBetter);
-      cipher_rates[s.kind].push_back(rate);
+      rates[s.kind].push_back(rate);
     }
     table.AddRow(row);
   }
   ctx.Check("every timed call succeeded", all_ok);
-  // The point of the 8-block kernel: whole 512-byte runs dominate from
-  // 32 KiB up, where it must beat the scalar oracle >= 4x. A ratio within
-  // one run, so it ports across machines with AVX2.
+  // The point of the 8-block kernel: at bulk sizes it must beat the
+  // scalar oracle >= 4x. A ratio within one run, so it ports across
+  // machines with AVX2.
   constexpr const char* kCipherGate =
       "vector ChaCha20 >= 4x the scalar oracle at >= 32 KiB";
   if (core::detail::ChaCha20HasVectorKernel()) {
     bool faster = true;
     for (std::size_t i = 0; i < std::size(kSweepSizes); ++i) {
       if (kSweepSizes[i] < 32 * kKiB) continue;
-      faster = faster && cipher_rates[SweepOp::kChaCha20][i] >=
-                             4.0 * cipher_rates[SweepOp::kChaCha20Scalar][i];
+      faster = faster && rates[SweepOp::kChaCha20][i] >=
+                             4.0 * rates[SweepOp::kChaCha20Scalar][i];
     }
     ctx.Check(kCipherGate, faster);
   } else {

@@ -122,17 +122,6 @@ TEST(ChaCha20Test, EmptySpanIsNoop) {
   XorInPlace(key, 1, 0, {});
 }
 
-TEST(ChaCha20Test, CopyLeavesSourceAndMatchesInPlace) {
-  const ChaChaKey key = TestKey();
-  const Buffer src = MakePatternBuffer(3000, 5);
-  Buffer copy(src.size());
-  ChaCha20XorCopy(key, 3, 77, src, copy);
-  Buffer in_place = src;
-  XorInPlace(key, 3, 77, in_place);
-  EXPECT_EQ(copy, in_place);
-  EXPECT_EQ(src, MakePatternBuffer(3000, 5));
-}
-
 // --- Differential fuzz: the dispatched kernel against the scalar oracle.
 
 struct FuzzCase {
